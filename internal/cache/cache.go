@@ -172,25 +172,13 @@ type mshr struct {
 	issuedAt sim.Cycle // when the request was sent (metrics)
 	on       Binder
 
-	// Fill-in-progress state consumed by the prebuilt callbacks.
+	// Fill-in-progress state consumed by the bind and fill events.
 	fillExcl bool
 	lateBind bool // Bind deferred to installation (exclusive fetches)
-
-	// bindFn and fillFn are built once per MSHR at construction and
-	// rescheduled for every fill, so receiveData allocates nothing.
-	bindFn func()
-	fillFn func()
 }
 
-// clear frees the MSHR, preserving its prebuilt callbacks.
-func (m *mshr) clear() {
-	m.valid = false
-	m.line = 0
-	m.excl, m.early, m.prefetch = false, false, false
-	m.issuedAt = 0
-	m.on = nil
-	m.fillExcl, m.lateBind = false, false
-}
+// clear frees the MSHR, keeping its index.
+func (m *mshr) clear() { *m = mshr{idx: m.idx} }
 
 // Cache is one processor's shared-data cache.
 type Cache struct {
@@ -208,10 +196,9 @@ type Cache struct {
 	// means the interface buffer is full (the cache queues internally
 	// and retries via whenSpace).
 	send      func(msg memory.Msg, bypass bool) bool
-	whenSpace func(fn func())
+	whenSpace func()
 	outq      []outPkt
-	outHead   int    // index of the first unsent packet in outq
-	drainFn   func() // prebuilt retry callback for whenSpace
+	outHead   int // index of the first unsent packet in outq
 
 	// invalidated remembers lines removed by coherence so the next
 	// demand miss on them counts as an invalidation miss.
@@ -241,8 +228,11 @@ type Config struct {
 	MSHRs    int
 }
 
-// New builds a cache. send/whenSpace attach it to the request network.
-func New(eng *sim.Engine, id int, cfg Config, send func(msg memory.Msg, bypass bool) bool, whenSpace func(fn func())) *Cache {
+// New builds a cache. send/whenSpace attach it to the request network:
+// after a refused send the cache calls whenSpace, and the owner calls
+// Drain once the network has room. The cache's engine events are of
+// class sim.CompCache; the owner routes them to Fire.
+func New(eng *sim.Engine, id int, cfg Config, send func(msg memory.Msg, bypass bool) bool, whenSpace func()) *Cache {
 	if cfg.LineSize <= 0 || cfg.LineSize%8 != 0 {
 		panic(fmt.Sprintf("cache: bad line size %d", cfg.LineSize))
 	}
@@ -266,14 +256,8 @@ func New(eng *sim.Engine, id int, cfg Config, send func(msg memory.Msg, bypass b
 	for i := range c.sets {
 		c.sets[i] = make([]line, cfg.Assoc)
 	}
-	c.drainFn = c.drainOut
-	// Each MSHR carries its fill callbacks prebuilt so data arrival
-	// schedules engine events without allocating.
 	for i := range c.mshr {
-		m := &c.mshr[i]
-		m.idx = i
-		m.bindFn = func() { m.on.Bind() }
-		m.fillFn = func() { c.finishFill(m) }
+		c.mshr[i].idx = i
 	}
 	return c
 }
@@ -600,12 +584,12 @@ func (c *Cache) receiveData(msg memory.Msg) {
 		if !m.excl || m.early {
 			// Loads bind at the first word (including ownership-fetching
 			// loads: the value arrives before the ownership settles).
-			c.eng.AfterEvent(1, m.bindFn, c.evdesc(cacheEvBind, m.idx))
+			c.eng.AfterEvent(1, c.evdesc(cacheEvBind, m.idx))
 		} else {
 			m.lateBind = true
 		}
 	}
-	c.eng.AfterEvent(sim.Cycle(c.words), m.fillFn, c.evdesc(cacheEvFill, m.idx))
+	c.eng.AfterEvent(sim.Cycle(c.words), c.evdesc(cacheEvFill, m.idx))
 }
 
 // finishFill runs when a data message's tail has arrived: install the
@@ -687,15 +671,17 @@ type outPkt struct {
 func (c *Cache) enqueue(msg memory.Msg, bypass bool) {
 	c.outq = append(c.outq, outPkt{msg, bypass})
 	if len(c.outq)-c.outHead == 1 {
-		c.drainOut()
+		c.Drain()
 	}
 }
 
-func (c *Cache) drainOut() {
+// Drain sends queued output until the request network refuses; the
+// machine calls it when the network reports space after a refusal.
+func (c *Cache) Drain() {
 	for c.outHead < len(c.outq) {
 		o := c.outq[c.outHead]
 		if !c.send(o.msg, o.bypass) {
-			c.whenSpace(c.drainFn)
+			c.whenSpace()
 			return
 		}
 		c.outHead++

@@ -14,7 +14,7 @@ type rig struct {
 	out   []memory.Msg
 	byps  []bool
 	full  bool
-	waits []func()
+	waits int // whenSpace registrations
 }
 
 func newRig(cfg Config) *rig {
@@ -28,8 +28,9 @@ func newRig(cfg Config) *rig {
 			r.byps = append(r.byps, bypass)
 			return true
 		},
-		func(fn func()) { r.waits = append(r.waits, fn) },
+		func() { r.waits++ },
 	)
+	r.eng.Handle(sim.CompCache, r.c.Fire)
 	return r
 }
 
@@ -405,13 +406,11 @@ func TestBackPressureQueuesAndRetries(t *testing.T) {
 	if len(r.out) != 0 {
 		t.Fatal("sent despite full buffer")
 	}
-	if len(r.waits) != 1 {
+	if r.waits != 1 {
 		t.Fatal("no retry registered")
 	}
 	r.full = false
-	w := r.waits[0]
-	r.waits = nil
-	w()
+	r.c.Drain()
 	if len(r.out) != 1 {
 		t.Fatal("retry did not send")
 	}

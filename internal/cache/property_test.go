@@ -113,8 +113,9 @@ func TestQuickCacheMatchesReferenceModel(t *testing.T) {
 				}
 				return true
 			},
-			func(fn func()) { panic("no backpressure") },
+			func() { panic("no backpressure") },
 		)
+		eng.Handle(sim.CompCache, c.Fire)
 		ref := newRefCache(cfg)
 
 		nAddrs := 2 + rng.Intn(30)

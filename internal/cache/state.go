@@ -20,31 +20,38 @@ func (c *Cache) evdesc(kind uint8, mshrIdx int) sim.EventDesc {
 	return sim.EventDesc{Comp: sim.CompCache, Kind: kind, Unit: int32(c.id), A: uint64(mshrIdx)}
 }
 
-// RestoreEvent rebuilds the callback for a saved cache event.
-func (c *Cache) RestoreEvent(d sim.EventDesc) (func(), error) {
-	idx := int(d.A)
-	if idx < 0 || idx >= len(c.mshr) {
-		return nil, fmt.Errorf("cache: event for MSHR %d of %d", idx, len(c.mshr))
+// Fire runs one cache event. The descriptor is trusted: the cache
+// scheduled it, or CheckEvent vetted it on restore.
+func (c *Cache) Fire(d *sim.EventDesc) {
+	m := &c.mshr[d.A]
+	if d.Kind == cacheEvBind {
+		m.on.Bind()
+		return
 	}
-	m := &c.mshr[idx]
+	c.finishFill(m)
+}
+
+// CheckEvent validates a cache event descriptor read from a snapshot
+// against the cache's restored MSHRs.
+func (c *Cache) CheckEvent(d sim.EventDesc) error {
+	if d.A >= uint64(len(c.mshr)) {
+		return fmt.Errorf("cache: event for MSHR %d of %d", d.A, len(c.mshr))
+	}
+	m := &c.mshr[d.A]
 	if !m.valid {
-		return nil, fmt.Errorf("cache: event for invalid MSHR %d", idx)
+		return fmt.Errorf("cache: event for invalid MSHR %d", d.A)
 	}
 	switch d.Kind {
 	case cacheEvBind:
 		if m.on == nil {
-			return nil, fmt.Errorf("cache: bind event for MSHR %d with no binder", idx)
+			return fmt.Errorf("cache: bind event for MSHR %d with no binder", d.A)
 		}
-		return m.bindFn, nil
 	case cacheEvFill:
-		return m.fillFn, nil
+	default:
+		return fmt.Errorf("cache: unknown event kind %d", d.Kind)
 	}
-	return nil, fmt.Errorf("cache: unknown event kind %d", d.Kind)
+	return nil
 }
-
-// DrainFunc returns the cache's output-drain retry callback. The
-// machine re-registers it when restoring a saved network space wait.
-func (c *Cache) DrainFunc() func() { return c.drainFn }
 
 // BinderBlob is an opaque serialized Binder. The cache never interprets
 // it: the binder's owner (the processor) packs and unpacks it.

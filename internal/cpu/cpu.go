@@ -175,8 +175,7 @@ type CPU struct {
 	spinAddr     uint64
 	spinVal      uint64
 	spinRd       isa.Reg
-	spinGhostFn  func()
-	spinNoticeFn func()
+	spinNoticeFn func() // prebuilt line-watch callback (spinNotice)
 
 	// syncInstrs counts retired instructions whose static class is a
 	// synchronization flavor (acquire, release, sync), independent of
@@ -187,11 +186,8 @@ type CPU struct {
 	// outside Stats: it must not perturb checksummed results.
 	syncInstrs uint64
 
-	// opFree heads the pendingOp free list; runFn is the prebuilt run
-	// callback handed to the engine (a method value built once, so
-	// scheduling allocates nothing).
+	// opFree heads the pendingOp free list.
 	opFree *pendingOp
-	runFn  func()
 
 	onHalt func(id int)
 
@@ -208,13 +204,15 @@ type Config struct {
 	Mem         MemImage
 	LoadDelay   int
 	BranchDelay int
-	MSHRs       int // machine MSHR count; bounds relaxed-model outstanding
+	MSHRs       int  // machine MSHR count; bounds relaxed-model outstanding
 	NoSpinSkip  bool // disable spin fast-forward (required under fault injection)
 	OnHalt      func(id int)
 }
 
 // New builds a CPU. Registers are zeroed except the conventional RID,
 // RNP and RSP values which the machine sets via SetReg after reset.
+// The processor's engine events are of class sim.CompCPU; the owner
+// routes them to Fire.
 func New(eng *sim.Engine, cfg Config) *CPU {
 	if cfg.LoadDelay < 1 || cfg.BranchDelay < 1 {
 		panic("cpu: delays must be >= 1")
@@ -238,8 +236,6 @@ func New(eng *sim.Engine, cfg Config) *CPU {
 		spinPC:      -1,
 		onHalt:      cfg.OnHalt,
 	}
-	c.runFn = c.run
-	c.spinGhostFn = c.spinGhost
 	c.spinNoticeFn = c.spinNotice
 	c.cache.OnRetireAny(func() { c.reconsider() })
 	return c
@@ -306,7 +302,7 @@ func (c *CPU) schedule(at sim.Cycle) {
 		return
 	}
 	c.scheduled = true
-	c.eng.AtEvent(at, c.runFn, sim.EventDesc{Comp: sim.CompCPU, Kind: cpuEvRun, Unit: int32(c.id)})
+	c.eng.AtEvent(at, c.evdesc(cpuEvRun))
 }
 
 // reconsider wakes a parked processor so it can re-evaluate its stall;

@@ -29,6 +29,13 @@ type rig struct {
 	delay sim.Cycle // request -> data-header delay
 }
 
+// route sends the engine's processor and cache events to a lone
+// processor and its cache.
+func route(eng *sim.Engine, c *CPU, ca *cache.Cache) {
+	eng.Handle(sim.CompCPU, c.Fire)
+	eng.Handle(sim.CompCache, ca.Fire)
+}
+
 func newRig(t *testing.T, model consistency.Model, prog []isa.Inst) *rig {
 	t.Helper()
 	r := &rig{mem: fakeMem{}, delay: 17}
@@ -49,7 +56,7 @@ func newRig(t *testing.T, model consistency.Model, prog []isa.Inst) *rig {
 			pending = append(pending, msg)
 			return true
 		},
-		func(fn func()) { panic("no backpressure in rig") },
+		func() { panic("no backpressure in rig") },
 	)
 	r.cpu = New(&r.eng, Config{
 		ID:          0,
@@ -61,6 +68,7 @@ func newRig(t *testing.T, model consistency.Model, prog []isa.Inst) *rig {
 		BranchDelay: 4,
 		MSHRs:       5,
 	})
+	route(&r.eng, r.cpu, r.cache)
 	return r
 }
 
@@ -460,10 +468,11 @@ func TestWO2PassesBypassFlag(t *testing.T) {
 			}
 			return true
 		},
-		func(fn func()) {},
+		func() {},
 	)
 	cp := New(&eng, Config{ID: 0, Spec: consistency.SpecFor(consistency.WO2),
 		Prog: prog, Cache: c, Mem: fakeMem{}, LoadDelay: 4, BranchDelay: 4, MSHRs: 5})
+	route(&eng, cp, c)
 	cp.Start()
 	if !eng.RunLimit(nil, 100_000) || !cp.Halted() {
 		t.Fatal("did not halt")

@@ -150,7 +150,7 @@ func (c *CPU) spinTry(in isa.Inst, addr uint64, t sim.Cycle) bool {
 	// The ghost stands in for the run event the caller would have
 	// scheduled: same cycle, created at the same moment.
 	c.scheduled = true
-	c.eng.AtEvent(t, c.spinGhostFn, sim.EventDesc{Comp: sim.CompCPU, Kind: cpuEvSpin, Unit: int32(c.id)})
+	c.eng.AtEvent(t, c.evdesc(cpuEvSpin))
 	c.cache.WatchLine(c.cache.LineAddr(addr), c.spinNoticeFn)
 	return true
 }
@@ -173,7 +173,7 @@ func (c *CPU) spinGhost() {
 			Cycle: c.eng.Now(), Detail: "spin ghost event without an active spin"})
 	}
 	if !c.spinStale {
-		c.eng.AfterEvent(c.spinPeriod, c.spinGhostFn, sim.EventDesc{Comp: sim.CompCPU, Kind: cpuEvSpin, Unit: int32(c.id)})
+		c.eng.AfterEvent(c.spinPeriod, c.evdesc(cpuEvSpin))
 		return
 	}
 	now := c.eng.Now()

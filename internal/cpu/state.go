@@ -17,15 +17,27 @@ const (
 	cpuEvSpin uint8 = 2
 )
 
-// RestoreEvent rebuilds the callback for a saved processor event.
-func (c *CPU) RestoreEvent(d sim.EventDesc) (func(), error) {
-	switch d.Kind {
-	case cpuEvRun:
-		return c.runFn, nil
-	case cpuEvSpin:
-		return c.spinGhostFn, nil
+func (c *CPU) evdesc(kind uint8) sim.EventDesc {
+	return sim.EventDesc{Comp: sim.CompCPU, Kind: kind, Unit: int32(c.id)}
+}
+
+// Fire runs one processor event. The kind is trusted: the processor
+// scheduled it, or CheckEvent vetted it on restore.
+func (c *CPU) Fire(d *sim.EventDesc) {
+	if d.Kind == cpuEvSpin {
+		c.spinGhost()
+		return
 	}
-	return nil, fmt.Errorf("cpu: unknown event kind %d", d.Kind)
+	c.run()
+}
+
+// CheckEvent validates a processor event descriptor read from a
+// snapshot.
+func (c *CPU) CheckEvent(d sim.EventDesc) error {
+	if d.Kind != cpuEvRun && d.Kind != cpuEvSpin {
+		return fmt.Errorf("cpu: unknown event kind %d", d.Kind)
+	}
+	return nil
 }
 
 // pendingOp flag bits in a serialized binder blob.

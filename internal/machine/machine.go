@@ -169,49 +169,13 @@ type Machine struct {
 	tracer *trace.Recorder
 	mc     *metrics.Collector
 
-	words    int       // line size in 8-byte words (data-tail latency)
-	tailFree *tailRecv // free list of pooled data-tail delivery events
+	words int // line size in 8-byte words (data-tail latency)
 
-	faults     *robust.Injector
-	watchdog   *robust.Watchdog
-	watchdogFn func() // self-rescheduling tagged watchdog tick
-	checkFn    func() // self-rescheduling tagged invariant-check tick
+	faults   *robust.Injector
+	watchdog *robust.Watchdog
 
 	started  bool // watchdog/checker armed and processors started
 	progHash [32]byte
-}
-
-// tailRecv is a pooled one-shot event delivering a data-carrying
-// request to its module once the message tail has arrived. Each record
-// builds its callback exactly once, so the steady-state write-back /
-// update path schedules the tail delay without allocating.
-type tailRecv struct {
-	m    *Machine
-	dst  int
-	src  int
-	msg  memory.Msg
-	next *tailRecv
-	fn   func()
-}
-
-func (m *Machine) allocTail(dst, src int, msg memory.Msg) *tailRecv {
-	t := m.tailFree
-	if t == nil {
-		t = &tailRecv{m: m}
-		t.fn = t.run
-	} else {
-		m.tailFree = t.next
-	}
-	t.dst, t.src, t.msg, t.next = dst, src, msg, nil
-	return t
-}
-
-func (t *tailRecv) run() {
-	m, dst, src, msg := t.m, t.dst, t.src, t.msg
-	t.msg = memory.Msg{}
-	t.next = m.tailFree
-	m.tailFree = t
-	m.modules[dst].Receive(src, msg)
 }
 
 // New builds a machine running the given per-processor programs.
@@ -255,7 +219,7 @@ func New(cfg Config, progs [][]isa.Inst) (*Machine, error) {
 		m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.RespRecv,
 			Src: nm.Src, Dst: dst, What: msg.Kind.String(), Addr: msg.Line})
 		m.caches[dst].Receive(msg)
-	})
+	}, func(src int) { m.modules[src].Drain() })
 	m.respNet.SetUnit(netUnitResp)
 	m.respNet.SetFaults(m.faults)
 	// Request network: caches -> memory. Data-carrying messages reach
@@ -266,11 +230,11 @@ func New(cfg Config, progs [][]isa.Inst) (*Machine, error) {
 		m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.ReqRecv,
 			Src: src, Dst: dst, What: msg.Kind.String(), Addr: msg.Line})
 		if msg.Kind.CarriesData() {
-			m.Eng.AfterEvent(sim.Cycle(m.words), m.allocTail(dst, src, msg).fn, tailDesc(dst, src, msg))
+			m.Eng.AfterEvent(sim.Cycle(m.words), tailDesc(dst, src, msg))
 		} else {
 			m.modules[dst].Receive(src, msg)
 		}
-	})
+	}, func(src int) { m.caches[src].Drain() })
 	m.reqNet.SetUnit(netUnitReq)
 	m.reqNet.SetFaults(m.faults)
 
@@ -288,7 +252,7 @@ func New(cfg Config, progs [][]isa.Inst) (*Machine, error) {
 				}
 				return ok
 			},
-			func(fn func()) { m.respNet.WhenSpace(id, fn) },
+			func() { m.respNet.WhenSpace(id) },
 		)
 	}
 
@@ -308,7 +272,7 @@ func New(cfg Config, progs [][]isa.Inst) (*Machine, error) {
 				}
 				return ok
 			},
-			func(fn func()) { m.reqNet.WhenSpace(id, fn) },
+			func() { m.reqNet.WhenSpace(id) },
 		)
 	}
 
@@ -336,6 +300,16 @@ func New(cfg Config, progs [][]isa.Inst) (*Machine, error) {
 		m.cpus[i].SetReg(isa.RNP, uint64(cfg.Procs))
 		m.cpus[i].SetReg(isa.RSP, StackTop)
 	}
+
+	// Each handler holds its unit table itself, one load closer to the
+	// unit than going through m on every event.
+	cpus, caches, modules := m.cpus, m.caches, m.modules
+	nets := [2]*network.Network{netUnitReq: m.reqNet, netUnitResp: m.respNet}
+	m.Eng.Handle(sim.CompMachine, m.fire)
+	m.Eng.Handle(sim.CompCPU, func(d *sim.EventDesc) { cpus[d.Unit].Fire(d) })
+	m.Eng.Handle(sim.CompCache, func(d *sim.EventDesc) { caches[d.Unit].Fire(d) })
+	m.Eng.Handle(sim.CompModule, func(d *sim.EventDesc) { modules[d.Unit].Fire(d) })
+	m.Eng.Handle(sim.CompNet, func(d *sim.EventDesc) { nets[d.Unit].Fire(d) })
 	return m, nil
 }
 
@@ -480,7 +454,8 @@ func (m *Machine) RunControlled(rc RunControl) (res Result, err error) {
 			m.startWatchdog()
 		}
 		if m.cfg.CheckEvery > 0 {
-			m.startChecker()
+			// The periodic coherence invariant check, as a tagged event.
+			m.Eng.AfterEvent(sim.Cycle(m.cfg.CheckEvery), machDesc(machEvCheck))
 		}
 		for _, c := range m.cpus {
 			c.Start()
@@ -560,9 +535,8 @@ func (m *Machine) RunControlled(rc RunControl) (res Result, err error) {
 // signal stops a run within microseconds of real time.
 const ctxPollEvents = 1024
 
-// initWatchdog builds the watchdog and its self-rescheduling tagged
-// tick without scheduling anything (the restore path resolves a saved
-// tick against watchdogFn).
+// initWatchdog builds the watchdog without scheduling anything (the
+// restore path finds its saved tick already in the engine queue).
 func (m *Machine) initWatchdog() {
 	m.watchdog = &robust.Watchdog{
 		Window:   sim.Cycle(m.cfg.StallCycles),
@@ -576,11 +550,6 @@ func (m *Machine) initWatchdog() {
 			})
 		},
 	}
-	m.watchdogFn = func() {
-		if m.watchdog.Check() {
-			m.Eng.AfterEvent(m.watchdog.Window, m.watchdogFn, machDesc(machEvWatchdog))
-		}
-	}
 }
 
 // startWatchdog arms the stall watchdog: if no processor retires an
@@ -590,29 +559,28 @@ func (m *Machine) initWatchdog() {
 func (m *Machine) startWatchdog() {
 	m.initWatchdog()
 	m.watchdog.Arm()
-	m.Eng.AfterEvent(m.watchdog.Window, m.watchdogFn, machDesc(machEvWatchdog))
+	m.Eng.AfterEvent(m.watchdog.Window, machDesc(machEvWatchdog))
 }
 
-// initChecker builds the periodic invariant-check tick without
-// scheduling it (see initWatchdog).
-func (m *Machine) initChecker() {
-	interval := sim.Cycle(m.cfg.CheckEvery)
-	m.checkFn = func() {
+// fire runs one machine-owned event.
+func (m *Machine) fire(d *sim.EventDesc) {
+	switch d.Kind {
+	case machEvTail:
+		dst, src, msg := decodeTail(d)
+		m.modules[dst].Receive(src, msg)
+	case machEvWatchdog:
+		if m.watchdog.Check() {
+			m.Eng.AfterEvent(m.watchdog.Window, *d)
+		}
+	case machEvCheck:
 		if m.Done() {
 			return
 		}
 		if err := m.CheckNow(); err != nil {
 			robust.Raise(err)
 		}
-		m.Eng.AfterEvent(interval, m.checkFn, machDesc(machEvCheck))
+		m.Eng.AfterEvent(sim.Cycle(m.cfg.CheckEvery), *d)
 	}
-}
-
-// startChecker schedules the periodic coherence invariant check as a
-// tagged event.
-func (m *Machine) startChecker() {
-	m.initChecker()
-	m.Eng.AfterEvent(sim.Cycle(m.cfg.CheckEvery), m.checkFn, machDesc(machEvCheck))
 }
 
 func (m *Machine) totalInstructions() uint64 {

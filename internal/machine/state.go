@@ -53,67 +53,68 @@ func hashPrograms(progs [][]isa.Inst) [32]byte {
 	return sum
 }
 
-// resolveEvent rebuilds the callback for one saved engine event,
-// dispatching on the owning component class.
-func (m *Machine) resolveEvent(d sim.EventDesc) (func(), error) {
+// decodeTail unpacks a data-tail descriptor (see tailDesc).
+func decodeTail(d *sim.EventDesc) (dst, src int, msg memory.Msg) {
+	return int(d.B >> 32), int(d.B >> 8 & 0xffffff), memory.Msg{Kind: memory.MsgKind(d.B & 0xff), Line: d.A}
+}
+
+// CheckEvent validates one engine event descriptor read from a
+// snapshot: its component class, unit and kind must exist, and every
+// index among its operands must name live state of this machine.
+// Restore runs it over every saved event before the engine loads them,
+// so the dispatch path itself never meets a malformed descriptor.
+func (m *Machine) CheckEvent(d sim.EventDesc) error {
+	unit := func(n int) error {
+		if d.Unit < 0 || int(d.Unit) >= n {
+			return fmt.Errorf("machine: event for unit %d of %d in component class %d", d.Unit, n, d.Comp)
+		}
+		return nil
+	}
 	switch d.Comp {
 	case sim.CompMachine:
 		switch d.Kind {
 		case machEvTail:
-			msg := memory.Msg{Kind: memory.MsgKind(d.B & 0xff), Line: d.A}
-			src := int(d.B >> 8 & 0xffffff)
-			dst := int(d.B >> 32)
-			if src >= m.cfg.Procs || dst >= m.cfg.Procs {
-				return nil, fmt.Errorf("machine: tail event src %d dst %d out of range", src, dst)
+			if dst, src, _ := decodeTail(&d); src >= m.cfg.Procs || dst >= m.cfg.Procs {
+				return fmt.Errorf("machine: tail event src %d dst %d out of range", src, dst)
 			}
-			return m.allocTail(dst, src, msg).fn, nil
 		case machEvWatchdog:
-			if m.watchdogFn == nil {
-				return nil, fmt.Errorf("machine: watchdog event with no watchdog configured")
+			if m.watchdog == nil {
+				return fmt.Errorf("machine: watchdog event with no watchdog configured")
 			}
-			return m.watchdogFn, nil
 		case machEvCheck:
-			if m.checkFn == nil {
-				return nil, fmt.Errorf("machine: invariant-check event with no checker configured")
+			if !m.started || m.cfg.CheckEvery == 0 {
+				return fmt.Errorf("machine: invariant-check event with no checker configured")
 			}
-			return m.checkFn, nil
+		default:
+			return fmt.Errorf("machine: unknown machine event kind %d", d.Kind)
 		}
-		return nil, fmt.Errorf("machine: unknown machine event kind %d", d.Kind)
+		return nil
 	case sim.CompCPU:
-		if int(d.Unit) < 0 || int(d.Unit) >= len(m.cpus) {
-			return nil, fmt.Errorf("machine: cpu event for unit %d", d.Unit)
+		if err := unit(len(m.cpus)); err != nil {
+			return err
 		}
-		return m.cpus[d.Unit].RestoreEvent(d)
+		return m.cpus[d.Unit].CheckEvent(d)
 	case sim.CompCache:
-		if int(d.Unit) < 0 || int(d.Unit) >= len(m.caches) {
-			return nil, fmt.Errorf("machine: cache event for unit %d", d.Unit)
+		if err := unit(len(m.caches)); err != nil {
+			return err
 		}
-		return m.caches[d.Unit].RestoreEvent(d)
+		return m.caches[d.Unit].CheckEvent(d)
 	case sim.CompModule:
-		if int(d.Unit) < 0 || int(d.Unit) >= len(m.modules) {
-			return nil, fmt.Errorf("machine: module event for unit %d", d.Unit)
+		if err := unit(len(m.modules)); err != nil {
+			return err
 		}
-		return m.modules[d.Unit].RestoreEvent(d)
+		return m.modules[d.Unit].CheckEvent(d)
 	case sim.CompNet:
 		switch d.Unit {
 		case netUnitReq:
-			return m.reqNet.RestoreEvent(d, m.reqSpace)
+			return m.reqNet.CheckEvent(d)
 		case netUnitResp:
-			return m.respNet.RestoreEvent(d, m.respSpace)
+			return m.respNet.CheckEvent(d)
 		}
-		return nil, fmt.Errorf("machine: network event for unit %d", d.Unit)
+		return fmt.Errorf("machine: network event for unit %d", d.Unit)
 	}
-	return nil, fmt.Errorf("machine: event with unknown component class %d", d.Comp)
+	return fmt.Errorf("machine: event with unknown component class %d", d.Comp)
 }
-
-// reqSpace resolves a request-network space waiter: the only component
-// that ever waits for request-network space at source src is cache
-// src's output drain.
-func (m *Machine) reqSpace(src int) func() { return m.caches[src].DrainFunc() }
-
-// respSpace resolves a response-network space waiter: module src's
-// output drain.
-func (m *Machine) respSpace(src int) func() { return m.modules[src].DrainFunc() }
 
 // Snapshot is the complete serializable state of a machine mid-run:
 // restoring it into a freshly built machine with the same Config and
@@ -236,10 +237,10 @@ func (m *Machine) Restore(s *Snapshot) error {
 			return fmt.Errorf("machine: restoring module %d: %w", i, err)
 		}
 	}
-	if err := m.reqNet.Load(s.ReqNet, m.reqSpace); err != nil {
+	if err := m.reqNet.Load(s.ReqNet); err != nil {
 		return fmt.Errorf("machine: restoring request network: %w", err)
 	}
-	if err := m.respNet.Load(s.RespNet, m.respSpace); err != nil {
+	if err := m.respNet.Load(s.RespNet); err != nil {
 		return fmt.Errorf("machine: restoring response network: %w", err)
 	}
 
@@ -254,20 +255,18 @@ func (m *Machine) Restore(s *Snapshot) error {
 		m.mc.Load(s.Metrics)
 	}
 
-	// Rebuild the machine's own tagged tick callbacks before the engine
-	// resolves saved events against them.
-	if s.Started {
-		if m.cfg.StallCycles > 0 {
-			m.initWatchdog()
-			m.watchdog.Restore(s.WatchdogLast)
-		}
-		if m.cfg.CheckEvery > 0 {
-			m.initChecker()
-		}
+	if s.Started && m.cfg.StallCycles > 0 {
+		m.initWatchdog()
+		m.watchdog.Restore(s.WatchdogLast)
 	}
 	m.started = s.Started
 
-	if err := m.Eng.Load(s.Engine, m.resolveEvent); err != nil {
+	for _, ev := range s.Engine.Events {
+		if err := m.CheckEvent(ev.Desc); err != nil {
+			return fmt.Errorf("machine: restoring event at cycle %d (seq %d): %w", ev.At, ev.Seq, err)
+		}
+	}
+	if err := m.Eng.Load(s.Engine); err != nil {
 		return fmt.Errorf("machine: restoring engine: %w", err)
 	}
 	return nil

@@ -1,7 +1,6 @@
 package memory
 
 import (
-
 	"memsim/internal/metrics"
 	"memsim/internal/robust"
 	"memsim/internal/sim"
@@ -73,9 +72,8 @@ type Stats struct {
 }
 
 // busyAction tells unbusy what to do when the current occupancy ends.
-// Encoding the post-busy work as data (rather than a captured closure)
-// keeps the steady-state directory pipeline allocation-free: the same
-// prebuilt unbusyFn is scheduled for every occupancy.
+// The post-busy work is data in the module, so every occupancy ends
+// with the same operand-free unbusy event.
 type busyAction uint8
 
 const (
@@ -87,16 +85,16 @@ const (
 // Module is one global memory module with its directory slice.
 //
 // The machine layer provides send: it must enqueue a response-network
-// message and report acceptance; on false the module registers retry
-// via whenSpace. Exactly one message is in the module's send hand at a
-// time.
+// message and report acceptance; on false the module calls whenSpace,
+// and the machine calls Drain once the network has room. Exactly one
+// message is in the module's send hand at a time.
 type Module struct {
 	eng       *sim.Engine
 	id        int
 	lineSize  int
 	words     int
 	send      func(dst int, m Msg) bool
-	whenSpace func(fn func())
+	whenSpace func()
 
 	dir     map[uint64]*entry
 	inq     []queued
@@ -114,10 +112,6 @@ type Module struct {
 	outq    []outMsg
 	outHead int
 
-	unbusyFn func() // prebuilt m.unbusy, scheduled by every setBusy
-	drainFn  func() // prebuilt m.drainOut, registered with whenSpace
-	headFree *headEvt
-
 	stats     Stats
 	busySince sim.Cycle
 	mc        *metrics.Collector // nil: no metrics collection
@@ -133,53 +127,12 @@ type outMsg struct {
 	msg Msg
 }
 
-// headEvt is a pooled one-shot event firing when the first word of a
-// line grant is ready to leave (lookup + initiation into a streaming
-// occupancy). A plain grant carries a nil entry; a transaction
-// completion additionally installs the entry's next stable state and
-// replays parked requests. Each record builds its callback once, so
-// the per-miss head event costs no allocation in steady state.
-type headEvt struct {
-	m    *Module
-	dst  int
-	msg  Msg
-	e    *entry // non-nil: completing a busy transaction
-	next dirState
-	link *headEvt
-	fn   func()
-}
-
-func (m *Module) allocHead(dst int, msg Msg, e *entry, next dirState) *headEvt {
-	h := m.headFree
-	if h == nil {
-		h = &headEvt{m: m}
-		h.fn = h.run
-	} else {
-		m.headFree = h.link
-	}
-	h.dst, h.msg, h.e, h.next = dst, msg, e, next
-	return h
-}
-
-func (h *headEvt) run() {
-	m, dst, msg, e, next := h.m, h.dst, h.msg, h.e, h.next
-	h.e = nil
-	h.link = m.headFree
-	m.headFree = h
-	if e != nil {
-		e.state = next
-	}
-	m.enqueueOut(dst, msg)
-	if e != nil {
-		m.replayPending(e)
-	}
-}
-
 // NewModule creates module id. send injects into the response network
-// (returning false when its entrance buffer is full); whenSpace
-// registers a one-shot callback for when space frees.
-func NewModule(eng *sim.Engine, id, lineSize int, send func(dst int, m Msg) bool, whenSpace func(fn func())) *Module {
-	m := &Module{
+// (returning false when its entrance buffer is full); whenSpace asks
+// for Drain to be called once space frees. The module's engine events
+// are of class sim.CompModule; the owner routes them to Fire.
+func NewModule(eng *sim.Engine, id, lineSize int, send func(dst int, m Msg) bool, whenSpace func()) *Module {
+	return &Module{
 		eng:       eng,
 		id:        id,
 		lineSize:  lineSize,
@@ -188,9 +141,6 @@ func NewModule(eng *sim.Engine, id, lineSize int, send func(dst int, m Msg) bool
 		whenSpace: whenSpace,
 		dir:       make(map[uint64]*entry),
 	}
-	m.unbusyFn = m.unbusy
-	m.drainFn = m.drainOut
-	return m
 }
 
 // Stats returns a copy of the activity counters.
@@ -250,7 +200,7 @@ func (m *Module) setBusy(d sim.Cycle, act busyAction) {
 	m.busy = true
 	m.busySince = m.eng.Now()
 	m.busyAct = act
-	m.eng.AfterEvent(d, m.unbusyFn, m.evdesc(modEvUnbusy))
+	m.eng.AfterEvent(d, m.evdesc(modEvUnbusy))
 }
 
 // unbusy ends the current occupancy, performs the deferred action, and
@@ -416,8 +366,7 @@ func (m *Module) processWriteBack(r request, e *entry) {
 // cycle per word while the line streams.
 func (m *Module) serveData(dst int, msg Msg) {
 	m.setBusy(sim.Cycle(LookupCycles+InitiateCycles+m.words), actNone)
-	h := m.allocHead(dst, msg, nil, uncached)
-	m.eng.AfterEvent(LookupCycles+InitiateCycles, h.fn, m.headDesc(h))
+	m.eng.AfterEvent(LookupCycles+InitiateCycles, m.headDesc(dst, msg, false, uncached))
 }
 
 // completion handles FlushInv/FlushShare/InvAck for a busy entry.
@@ -463,10 +412,26 @@ func (m *Module) completion(src int, msg Msg) {
 // module idle (completions dispatch from the input queue), so the
 // occupancy starts immediately — setBusy fails loudly otherwise.
 func (m *Module) finishTx(e *entry, line uint64) {
-	h := m.allocHead(e.requester, Msg{e.grant, line}, e, e.nextState)
+	d := m.headDesc(e.requester, Msg{e.grant, line}, true, e.nextState)
 	e.tx = txNone
 	m.setBusy(sim.Cycle(LookupCycles+InitiateCycles+m.words), actNone)
-	m.eng.AfterEvent(sim.Cycle(LookupCycles+InitiateCycles), h.fn, m.headDesc(h))
+	m.eng.AfterEvent(sim.Cycle(LookupCycles+InitiateCycles), d)
+}
+
+// head fires when a line grant's first word is ready to leave (lookup
+// + initiation into a streaming occupancy). A transaction completion
+// (hasEntry) also installs the line's next stable state and replays
+// the requests parked behind it; directory entries are never removed,
+// so the line's entry is the one the transaction ran on.
+func (m *Module) head(dst int, msg Msg, hasEntry bool, next dirState) {
+	if !hasEntry {
+		m.enqueueOut(dst, msg)
+		return
+	}
+	e := m.dir[msg.Line]
+	e.state = next
+	m.enqueueOut(dst, msg)
+	m.replayPending(e)
 }
 
 // replayPending re-injects requests parked behind a busy entry.
@@ -493,15 +458,17 @@ func (m *Module) replayPending(e *entry) {
 func (m *Module) enqueueOut(dst int, msg Msg) {
 	m.outq = append(m.outq, outMsg{dst, msg})
 	if len(m.outq)-m.outHead == 1 {
-		m.drainOut()
+		m.Drain()
 	}
 }
 
-func (m *Module) drainOut() {
+// Drain sends queued output until the response network refuses; the
+// machine calls it when the network reports space after a refusal.
+func (m *Module) Drain() {
 	for m.outHead < len(m.outq) {
 		o := m.outq[m.outHead]
 		if !m.send(o.dst, o.msg) {
-			m.whenSpace(m.drainFn)
+			m.whenSpace()
 			return
 		}
 		m.outHead++

@@ -13,7 +13,7 @@ type harness struct {
 	mod  *Module
 	out  []sent
 	full bool // simulate a full response buffer
-	wait []func()
+	wait int  // whenSpace registrations not yet released
 }
 
 type sent struct {
@@ -32,17 +32,16 @@ func newHarness(lineSize int) *harness {
 			h.out = append(h.out, sent{dst, m, h.eng.Now()})
 			return true
 		},
-		func(fn func()) { h.wait = append(h.wait, fn) },
+		func() { h.wait++ },
 	)
+	h.eng.Handle(sim.CompModule, h.mod.Fire)
 	return h
 }
 
 func (h *harness) release() {
 	h.full = false
-	w := h.wait
-	h.wait = nil
-	for _, fn := range w {
-		fn()
+	for ; h.wait > 0; h.wait-- {
+		h.mod.Drain()
 	}
 }
 
@@ -325,7 +324,7 @@ func TestBackPressureRetries(t *testing.T) {
 	if len(h.out) != 0 {
 		t.Fatal("message sent despite full buffer")
 	}
-	if len(h.wait) == 0 {
+	if h.wait == 0 {
 		t.Fatal("module did not register a retry")
 	}
 	h.release()

@@ -28,48 +28,42 @@ func (m *Module) evdesc(kind uint8) sim.EventDesc {
 	return sim.EventDesc{Comp: sim.CompModule, Kind: kind, Unit: int32(m.id)}
 }
 
-// headDesc serializes a pending head event.
-func (m *Module) headDesc(h *headEvt) sim.EventDesc {
+// headDesc describes a pending head event.
+func (m *Module) headDesc(dst int, msg Msg, hasEntry bool, next dirState) sim.EventDesc {
 	d := m.evdesc(modEvHead)
-	d.A = h.msg.Line
-	d.B = uint64(h.msg.Kind) | uint64(h.next)<<16
-	if h.e != nil {
+	d.A = msg.Line
+	d.B = uint64(msg.Kind) | uint64(next)<<16
+	if hasEntry {
 		d.B |= 1 << 8
 	}
-	d.C = uint64(h.dst)
+	d.C = uint64(dst)
 	return d
 }
 
-// restoreHead rebuilds a pooled head event from descriptor operands.
-func (m *Module) restoreHead(line uint64, kind MsgKind, hasEntry bool, next dirState, dst int) (*headEvt, error) {
-	var e *entry
-	if hasEntry {
-		e = m.dir[line]
-		if e == nil {
-			return nil, fmt.Errorf("memory: head event for line %#x with no directory entry", line)
-		}
+// Fire runs one module event. The descriptor is trusted: the module
+// scheduled it, or CheckEvent vetted it on restore.
+func (m *Module) Fire(d *sim.EventDesc) {
+	if d.Kind == modEvUnbusy {
+		m.unbusy()
+		return
 	}
-	return m.allocHead(dst, Msg{Kind: kind, Line: line}, e, next), nil
+	m.head(int(d.C), Msg{Kind: MsgKind(d.B & 0xff), Line: d.A}, d.B>>8&1 != 0, dirState(d.B>>16&0xff))
 }
 
-// RestoreEvent rebuilds the callback for a saved module event.
-func (m *Module) RestoreEvent(d sim.EventDesc) (func(), error) {
+// CheckEvent validates a module event descriptor read from a snapshot
+// against the module's restored directory.
+func (m *Module) CheckEvent(d sim.EventDesc) error {
 	switch d.Kind {
 	case modEvUnbusy:
-		return m.unbusyFn, nil
 	case modEvHead:
-		h, err := m.restoreHead(d.A, MsgKind(d.B&0xff), d.B>>8&1 != 0, dirState(d.B>>16&0xff), int(d.C))
-		if err != nil {
-			return nil, err
+		if d.B>>8&1 != 0 && m.dir[d.A] == nil {
+			return fmt.Errorf("memory: head event for line %#x with no directory entry", d.A)
 		}
-		return h.fn, nil
+	default:
+		return fmt.Errorf("memory: unknown event kind %d", d.Kind)
 	}
-	return nil, fmt.Errorf("memory: unknown event kind %d", d.Kind)
+	return nil
 }
-
-// DrainFunc returns the module's output-drain retry callback. The
-// machine re-registers it when restoring a saved network space wait.
-func (m *Module) DrainFunc() func() { return m.drainFn }
 
 // EntryState is one directory entry in a snapshot.
 type EntryState struct {

@@ -20,7 +20,7 @@ func TestStagesAndHeadLatencyBigPorts(t *testing.T) {
 	}
 	for _, c := range cases {
 		var eng sim.Engine
-		n := New(&eng, c.ports, 4, func(int, Message) {})
+		n := newNet(&eng, c.ports, 4, func(int, Message) {}, nil)
 		if n.padded != c.padded {
 			t.Errorf("ports %d: padded = %d, want %d", c.ports, n.padded, c.padded)
 		}
@@ -40,7 +40,7 @@ func TestStagesAndHeadLatencyBigPorts(t *testing.T) {
 func TestLinkAfterBigPorts(t *testing.T) {
 	for _, ports := range []int{128, 256} {
 		var eng sim.Engine
-		n := New(&eng, ports, 4, func(int, Message) {})
+		n := newNet(&eng, ports, 4, func(int, Message) {}, nil)
 		ref := func(src, dst, k int) int {
 			// After stage k the message sits on the link whose index is
 			// the source's low digits shifted in behind the
@@ -70,7 +70,7 @@ func TestAllPairsDeliveredAt128Ports(t *testing.T) {
 	const ports = 128
 	var eng sim.Engine
 	got, deliver := collector(&eng)
-	n := New(&eng, ports, 4, deliver)
+	n := newNet(&eng, ports, 4, deliver, nil)
 	sent := 0
 	for s := 0; s < ports; s++ {
 		for d := 0; d < ports; d++ {
@@ -100,7 +100,7 @@ func TestFIFOPerPairAt128Ports(t *testing.T) {
 	const ports = 128
 	var eng sim.Engine
 	got, deliver := collector(&eng)
-	n := New(&eng, ports, 4, deliver)
+	n := newNet(&eng, ports, 4, deliver, nil)
 	rng := rand.New(rand.NewSource(128))
 	type key struct{ s, d int }
 	sentSeq := map[key][]int{}

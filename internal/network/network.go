@@ -60,13 +60,11 @@ type Stats struct {
 // port is one link resource: an output port of a switch (or the
 // entrance buffer serving a source). Service rate is one flit/cycle.
 // The queue is consumed from head (an index, not a reslice) so its
-// backing array is reused; freeFn is the prebuilt end-of-service
-// callback (closing over the port identity once at construction).
+// backing array is reused.
 type port struct {
-	queue  []*transit
-	head   int
-	busy   bool
-	freeFn func()
+	queue []*transit
+	head  int
+	busy  bool
 }
 
 // qlen is the number of messages waiting in the port's queue.
@@ -96,16 +94,18 @@ func (p *port) pushFront(t *transit) {
 	p.queue[0] = t
 }
 
-// transit is a message in flight plus its progress bookkeeping.
-// Transits are pooled on the Network (free list through next) and
-// carry a prebuilt advance callback, so injecting and forwarding a
-// message allocates nothing in steady state.
+// transit is a message waiting in a port queue plus its progress
+// bookkeeping. Transits are pooled on the Network (free list through
+// next), so injecting and forwarding a message allocates nothing in
+// steady state. A message in service holds no transit: its pending
+// advance event's descriptor carries it whole, and a transit is
+// rebuilt from that descriptor only if the head must queue at its
+// next hop.
 type transit struct {
-	msg       Message
-	hop       int       // next hop index to be serviced: 0=entrance, 1..n=stages
-	queued    sim.Cycle // when it joined the current queue (for QueueDelay)
-	next      *transit  // free-list link
-	advanceFn func()
+	msg    Message
+	hop    int       // next hop index to be serviced: 0=entrance, 1..n=stages
+	queued sim.Cycle // when it joined the current queue (for QueueDelay)
+	next   *transit  // free-list link
 }
 
 // Network is one Omega network instance.
@@ -120,8 +120,9 @@ type Network struct {
 	links    [][]port // [stage][link index within padded ports]
 
 	deliver func(dst int, m Message)
-	onSpace []func() // per-source callback when entrance space frees
-	tfree   *transit // transit record free list
+	drain   func(src int) // retries source src's blocked sender
+	onSpace []bool        // per-source: sender waits for entrance space
+	tfree   *transit      // transit record free list
 
 	faults   *robust.Injector // nil: no fault injection
 	inFlight int              // messages injected but not yet delivered
@@ -136,8 +137,10 @@ type Network struct {
 // buffer capacity. deliver is invoked when a message's head arrives at
 // its destination; the tail arrives Flits-1 cycles later (receivers
 // that care, e.g. a cache waiting for a whole line, add that
-// themselves).
-func New(eng *sim.Engine, ports, bufCap int, deliver func(dst int, m Message)) *Network {
+// themselves). drain is invoked for a source that registered WhenSpace
+// once its entrance buffer has a free slot. The network's engine
+// events are of class sim.CompNet; the owner routes them to Fire.
+func New(eng *sim.Engine, ports, bufCap int, deliver func(dst int, m Message), drain func(src int)) *Network {
 	if ports < 2 {
 		panic(fmt.Sprintf("network: need at least 2 ports, got %d", ports))
 	}
@@ -158,49 +161,29 @@ func New(eng *sim.Engine, ports, bufCap int, deliver func(dst int, m Message)) *
 		entrance: make([]port, ports),
 		links:    make([][]port, stages),
 		deliver:  deliver,
-		onSpace:  make([]func(), ports),
+		drain:    drain,
+		onSpace:  make([]bool, ports),
 	}
 	for s := range n.links {
 		n.links[s] = make([]port, padded)
 	}
-	// Prebuild the end-of-service callbacks: entrance ports notify
-	// their blocked sender, switch links do not.
-	for i := range n.entrance {
-		p, src := &n.entrance[i], i
-		p.freeFn = func() {
-			p.busy = false
-			n.kick(p, src)
-		}
-	}
-	for s := range n.links {
-		for i := range n.links[s] {
-			p := &n.links[s][i]
-			p.freeFn = func() {
-				p.busy = false
-				n.kick(p, -1)
-			}
-		}
-	}
 	return n
 }
 
-// allocTransit takes a pooled transit record for a fresh injection.
-func (n *Network) allocTransit(m Message) *transit {
+// allocTransit takes a pooled transit record for message m waiting at
+// hop, queued since the current cycle.
+func (n *Network) allocTransit(m Message, hop int) *transit {
 	t := n.tfree
 	if t == nil {
 		t = &transit{}
-		t.advanceFn = func() { n.advance(t) }
 	} else {
 		n.tfree = t.next
 	}
-	t.msg = m
-	t.hop = 0
-	t.queued = n.eng.Now()
-	t.next = nil
+	t.msg, t.hop, t.queued, t.next = m, hop, n.eng.Now(), nil
 	return t
 }
 
-// freeTransit recycles a delivered transit.
+// freeTransit recycles a transit whose message entered service.
 func (n *Network) freeTransit(t *transit) {
 	t.msg = Message{}
 	t.next = n.tfree
@@ -258,20 +241,20 @@ func (n *Network) linkAfter(src, dst, k int) int {
 	return ((src << uint(2*(k+1))) | (dst >> shift)) & mask
 }
 
-// WhenSpace registers fn to be called (once per registration) the next
-// time the entrance buffer for src has a free slot. Used by senders
-// whose TrySend was rejected.
-func (n *Network) WhenSpace(src int, fn func()) {
-	if n.onSpace[src] != nil {
+// WhenSpace asks for the network's drain callback to run for src
+// (once per registration) the next time src's entrance buffer has a
+// free slot. Used by senders whose TrySend was rejected.
+func (n *Network) WhenSpace(src int) {
+	if n.onSpace[src] {
 		robust.Raise(&robust.SimError{Kind: robust.Protocol, Component: "network", Unit: src,
 			Cycle: n.eng.Now(), Detail: "WhenSpace already registered for source"})
 	}
-	n.onSpace[src] = fn
+	n.onSpace[src] = true
 }
 
 // TrySend injects a message. It returns false, without side effects,
-// if the source's entrance buffer is full; the sender should register
-// a WhenSpace callback and retry.
+// if the source's entrance buffer is full; the sender should call
+// WhenSpace and retry from its drain callback.
 func (n *Network) TrySend(m Message) bool {
 	if m.Src < 0 || m.Src >= n.ports || m.Dst < 0 || m.Dst >= n.ports {
 		robust.Raise(&robust.SimError{Kind: robust.Protocol, Component: "network", Unit: m.Src,
@@ -287,7 +270,7 @@ func (n *Network) TrySend(m Message) bool {
 		n.mc.NetRetry(n.netid, m.Src, n.eng.Now())
 		return false
 	}
-	t := n.allocTransit(m)
+	t := n.allocTransit(m, 0)
 	if m.Bypass && p.qlen() > 0 {
 		n.stats.Bypasses++
 		n.stats.BypassedOver += uint64(p.qlen())
@@ -301,14 +284,14 @@ func (n *Network) TrySend(m Message) bool {
 	return true
 }
 
-// portAt resolves the port resource for a transit at a given hop.
+// portAt resolves the port resource serving hop of the src->dst path.
 // Hop 0 is the entrance buffer; hop 1..stages are switch output links.
-func (n *Network) portAt(t *transit) *port {
-	if t.hop == 0 {
-		return &n.entrance[t.msg.Src]
+func (n *Network) portAt(src, dst, hop int) *port {
+	if hop == 0 {
+		return &n.entrance[src]
 	}
-	stage := t.hop - 1
-	return &n.links[stage][n.linkAfter(t.msg.Src, t.msg.Dst, stage)]
+	stage := hop - 1
+	return &n.links[stage][n.linkAfter(src, dst, stage)]
 }
 
 // kick starts service on a port if it is idle and has queued traffic.
@@ -319,10 +302,20 @@ func (n *Network) kick(p *port, entranceSrc int) {
 		return
 	}
 	t := p.pop()
+	d, queued := n.advanceDesc(t), t.queued
+	n.freeTransit(t)
+	n.serve(p, &d, queued, entranceSrc)
+}
+
+// serve starts port p's service of the message d describes, which has
+// waited for the port since cycle queued. From here on the pending
+// advance event's descriptor is the message's only record.
+func (n *Network) serve(p *port, d *sim.EventDesc, queued sim.Cycle, entranceSrc int) {
 	p.busy = true
-	n.stats.QueueDelay += uint64(n.eng.Now() - t.queued)
-	n.mc.NetWait(n.netid, n.eng.Now(), uint64(n.eng.Now()-t.queued))
-	flits := sim.Cycle(t.msg.Flits)
+	now := n.eng.Now()
+	n.stats.QueueDelay += uint64(now - queued)
+	n.mc.NetWait(n.netid, now, uint64(now-queued))
+	flits := sim.Cycle(d.C >> 32)
 
 	// Fault injection stretches this service: the head advances and
 	// the port frees `extra` cycles late. Because the stretch applies
@@ -335,34 +328,38 @@ func (n *Network) kick(p *port, entranceSrc int) {
 	}
 
 	// Head advances to the next hop one cycle after service starts.
-	n.eng.AfterEvent(1+extra, t.advanceFn, n.advanceDesc(t))
+	n.eng.AfterEvent(1+extra, *d)
 	// The link is busy for the full message length.
-	n.eng.AfterEvent(flits+extra, p.freeFn, n.freeDesc(t))
-	if entranceSrc >= 0 {
-		// A slot freed the moment the head left the queue.
-		if fn := n.onSpace[entranceSrc]; fn != nil {
-			n.onSpace[entranceSrc] = nil
-			// Run after the pop so the retry sees the free slot.
-			d := n.desc(netEvSpace)
-			d.A = uint64(entranceSrc)
-			n.eng.AfterEvent(0, fn, d)
-		}
+	n.eng.AfterEvent(flits+extra, n.freeDesc(d))
+	if entranceSrc >= 0 && n.onSpace[entranceSrc] {
+		// A slot freed the moment the head left the queue. Notify
+		// after the pop so the retry sees the free slot.
+		n.onSpace[entranceSrc] = false
+		sd := n.desc(netEvSpace)
+		sd.A = uint64(entranceSrc)
+		n.eng.AfterEvent(0, sd)
 	}
 }
 
-// advance moves a transit's head to its next hop or delivers it.
-func (n *Network) advance(t *transit) {
-	t.hop++
-	if t.hop > n.stages {
+// advance moves the head of the message an advance event carries to
+// its next hop, or delivers it once it has crossed the last stage. At
+// a busy port the message's transit is rebuilt from the descriptor and
+// queued; an idle port (whose queue is empty, since kick drains a port
+// the moment it frees) serves it at once.
+func (n *Network) advance(d *sim.EventDesc) {
+	m, hop := advanceMsg(d), advanceHop(d)+1
+	if hop > n.stages {
 		n.stats.Messages++
 		n.inFlight--
-		dst, msg := t.msg.Dst, t.msg
-		n.freeTransit(t)
-		n.deliver(dst, msg)
+		n.deliver(m.Dst, m)
 		return
 	}
-	t.queued = n.eng.Now()
-	p := n.portAt(t)
-	p.queue = append(p.queue, t)
-	n.kick(p, -1)
+	p := n.portAt(m.Src, m.Dst, hop)
+	if p.busy {
+		p.queue = append(p.queue, n.allocTransit(m, hop))
+		return
+	}
+	next := *d
+	next.B += 1 << 16 // the same message, now waiting at hop
+	n.serve(p, &next, n.eng.Now(), -1)
 }

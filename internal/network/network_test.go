@@ -28,13 +28,21 @@ func collector(eng *sim.Engine) (*[]delivery, func(int, Message)) {
 	}
 }
 
+// newNet builds a network whose engine routes its events to it, as the
+// machine does for its two networks.
+func newNet(eng *sim.Engine, ports, bufCap int, deliver func(int, Message), drain func(int)) *Network {
+	n := New(eng, ports, bufCap, deliver, drain)
+	eng.Handle(sim.CompNet, n.Fire)
+	return n
+}
+
 func TestStagesByPortCount(t *testing.T) {
 	cases := []struct{ ports, stages int }{
 		{2, 1}, {4, 1}, {5, 2}, {16, 2}, {17, 3}, {32, 3}, {64, 3}, {65, 4},
 	}
 	for _, c := range cases {
 		var eng sim.Engine
-		n := New(&eng, c.ports, 4, func(int, Message) {})
+		n := newNet(&eng, c.ports, 4, func(int, Message) {}, nil)
 		if n.Stages() != c.stages {
 			t.Errorf("ports %d: stages = %d, want %d", c.ports, n.Stages(), c.stages)
 		}
@@ -45,7 +53,7 @@ func TestUncontendedHeadLatency(t *testing.T) {
 	for _, ports := range []int{16, 32} {
 		var eng sim.Engine
 		got, deliver := collector(&eng)
-		n := New(&eng, ports, 4, deliver)
+		n := newNet(&eng, ports, 4, deliver, nil)
 		if !n.TrySend(Message{Src: 3, Dst: ports - 1, Flits: 1}) {
 			t.Fatal("TrySend rejected on empty network")
 		}
@@ -64,7 +72,7 @@ func TestAllPairsDelivered(t *testing.T) {
 	const ports = 16
 	var eng sim.Engine
 	got, deliver := collector(&eng)
-	n := New(&eng, ports, 4, deliver)
+	n := newNet(&eng, ports, 4, deliver, nil)
 	sent := 0
 	for s := 0; s < ports; s++ {
 		for d := 0; d < ports; d++ {
@@ -94,7 +102,7 @@ func TestFIFOPerPair(t *testing.T) {
 	const ports = 16
 	var eng sim.Engine
 	got, deliver := collector(&eng)
-	n := New(&eng, ports, 4, deliver)
+	n := newNet(&eng, ports, 4, deliver, nil)
 	rng := rand.New(rand.NewSource(1))
 	type key struct{ s, d int }
 	sentSeq := map[key][]int{}
@@ -139,7 +147,7 @@ func TestFIFOPerPair(t *testing.T) {
 func TestEntranceBufferCapacity(t *testing.T) {
 	var eng sim.Engine
 	_, deliver := collector(&eng)
-	n := New(&eng, 16, 4, deliver)
+	n := newNet(&eng, 16, 4, deliver, nil)
 	// First message starts transmission immediately (doesn't occupy a
 	// buffer slot once in service); it is long so the rest queue up.
 	ok := n.TrySend(Message{Src: 0, Dst: 1, Flits: 100})
@@ -163,20 +171,24 @@ func TestEntranceBufferCapacity(t *testing.T) {
 func TestWhenSpaceFires(t *testing.T) {
 	var eng sim.Engine
 	_, deliver := collector(&eng)
-	n := New(&eng, 16, 2, deliver)
+	fired := false
+	var n *Network
+	n = newNet(&eng, 16, 2, deliver, func(src int) {
+		fired = true
+		if src != 0 {
+			t.Errorf("drain called for source %d, want 0", src)
+		}
+		if !n.TrySend(Message{Src: 0, Dst: 1, Flits: 1}) {
+			t.Error("retry after WhenSpace rejected")
+		}
+	})
 	n.TrySend(Message{Src: 0, Dst: 1, Flits: 10})
 	n.TrySend(Message{Src: 0, Dst: 1, Flits: 1})
 	n.TrySend(Message{Src: 0, Dst: 1, Flits: 1})
 	if n.TrySend(Message{Src: 0, Dst: 1, Flits: 1}) {
 		t.Fatal("buffer should be full")
 	}
-	fired := false
-	n.WhenSpace(0, func() {
-		fired = true
-		if !n.TrySend(Message{Src: 0, Dst: 1, Flits: 1}) {
-			t.Error("retry after WhenSpace rejected")
-		}
-	})
+	n.WhenSpace(0)
 	eng.Run(nil)
 	if !fired {
 		t.Fatal("WhenSpace never fired")
@@ -192,7 +204,7 @@ func TestContentionSerializesSharedLink(t *testing.T) {
 	// long.
 	var eng sim.Engine
 	got, deliver := collector(&eng)
-	n := New(&eng, 16, 4, deliver)
+	n := newNet(&eng, 16, 4, deliver, nil)
 	n.TrySend(Message{Src: 0, Dst: 5, Flits: 9, Payload: tag(0)})
 	n.TrySend(Message{Src: 1, Dst: 5, Flits: 9, Payload: tag(1)})
 	eng.Run(nil)
@@ -211,7 +223,7 @@ func TestContentionSerializesSharedLink(t *testing.T) {
 func TestBypassJumpsQueue(t *testing.T) {
 	var eng sim.Engine
 	got, deliver := collector(&eng)
-	n := New(&eng, 16, 4, deliver)
+	n := newNet(&eng, 16, 4, deliver, nil)
 	// A long message in service, two queued stores, then a bypassing load.
 	names := []string{"tx", "st1", "st2", "ld"}
 	n.TrySend(Message{Src: 0, Dst: 1, Flits: 30, Payload: tag(0)})
@@ -241,7 +253,7 @@ func TestBypassJumpsQueue(t *testing.T) {
 func TestBypassDoesNotCountWhenQueueEmpty(t *testing.T) {
 	var eng sim.Engine
 	_, deliver := collector(&eng)
-	n := New(&eng, 16, 4, deliver)
+	n := newNet(&eng, 16, 4, deliver, nil)
 	n.TrySend(Message{Src: 0, Dst: 1, Flits: 1, Bypass: true})
 	if n.Stats().Bypasses != 0 {
 		t.Errorf("bypass counted with empty queue")
@@ -253,7 +265,7 @@ func TestLinkAfterRoutesToDestination(t *testing.T) {
 	// for every pair — that is what makes Omega routing deliver.
 	for _, ports := range []int{16, 32, 64} {
 		var eng sim.Engine
-		n := New(&eng, ports, 4, func(int, Message) {})
+		n := newNet(&eng, ports, 4, func(int, Message) {}, nil)
 		for s := 0; s < ports; s++ {
 			for d := 0; d < ports; d++ {
 				if got := n.linkAfter(s, d, n.stages-1); got != d {
@@ -271,23 +283,23 @@ func TestQuickRandomTrafficDelivered(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var eng sim.Engine
 		got, deliver := collector(&eng)
-		n := New(&eng, 16, 4, deliver)
 		sent := 0
 		var trySend func(m Message)
 		pendingRetry := []Message{}
+		n := newNet(&eng, 16, 4, deliver, func(int) {
+			q := pendingRetry
+			pendingRetry = nil
+			for _, m := range q {
+				trySend(m)
+			}
+		})
 		trySend = func(m Message) {
 			if n.TrySend(m) {
 				return
 			}
 			pendingRetry = append(pendingRetry, m)
 			if len(pendingRetry) == 1 {
-				n.WhenSpace(m.Src, func() {
-					q := pendingRetry
-					pendingRetry = nil
-					for _, m := range q {
-						trySend(m)
-					}
-				})
+				n.WhenSpace(m.Src)
 			}
 		}
 		for i := 0; i < 100; i++ {
@@ -325,7 +337,7 @@ func TestQuickRandomTrafficDelivered(t *testing.T) {
 func TestStatsFlitsAndMessages(t *testing.T) {
 	var eng sim.Engine
 	_, deliver := collector(&eng)
-	n := New(&eng, 16, 4, deliver)
+	n := newNet(&eng, 16, 4, deliver, nil)
 	n.TrySend(Message{Src: 0, Dst: 1, Flits: 3})
 	n.TrySend(Message{Src: 2, Dst: 3, Flits: 1})
 	eng.Run(nil)
@@ -343,7 +355,7 @@ func TestHeadLatencyMatchesDelivery(t *testing.T) {
 	for _, ports := range []int{4, 16, 64} {
 		var eng sim.Engine
 		got, deliver := collector(&eng)
-		n := New(&eng, ports, 4, deliver)
+		n := newNet(&eng, ports, 4, deliver, nil)
 		n.TrySend(Message{Src: 0, Dst: ports - 1, Flits: 2})
 		eng.Run(nil)
 		if (*got)[0].at != sim.Cycle(n.HeadLatency()) {
@@ -355,7 +367,7 @@ func TestHeadLatencyMatchesDelivery(t *testing.T) {
 
 func TestPanicsOnBadEndpoints(t *testing.T) {
 	var eng sim.Engine
-	n := New(&eng, 4, 4, func(int, Message) {})
+	n := newNet(&eng, 4, 4, func(int, Message) {}, nil)
 	for _, m := range []Message{
 		{Src: -1, Dst: 0, Flits: 1},
 		{Src: 0, Dst: 4, Flits: 1},

@@ -32,10 +32,9 @@ func (n *Network) desc(kind uint8) sim.EventDesc {
 	return sim.EventDesc{Comp: sim.CompNet, Kind: kind, Unit: n.unit}
 }
 
-// advanceDesc serializes an in-service transit into its event
-// descriptor. An in-service transit is referenced only by its pending
-// advance event (it is in no port queue), so the descriptor must carry
-// everything needed to rebuild it.
+// advanceDesc packs a transit entering service into its advance
+// event's descriptor. The transit itself is recycled at once, so the
+// descriptor carries everything needed to rebuild it at the next hop.
 func (n *Network) advanceDesc(t *transit) sim.EventDesc {
 	d := n.desc(netEvAdvance)
 	d.A = t.msg.Payload.Line
@@ -47,64 +46,83 @@ func (n *Network) advanceDesc(t *transit) sim.EventDesc {
 	return d
 }
 
-// freeDesc identifies the port servicing transit t.
-func (n *Network) freeDesc(t *transit) sim.EventDesc {
+// freeDesc identifies the port servicing the message advance
+// descriptor ad describes.
+func (n *Network) freeDesc(ad *sim.EventDesc) sim.EventDesc {
 	d := n.desc(netEvFree)
-	if t.hop == 0 {
-		d.B = uint64(t.msg.Src)
+	src, hop := int(ad.C&0xffff), advanceHop(ad)
+	if hop == 0 {
+		d.B = uint64(src)
 		return d
 	}
-	stage := t.hop - 1
-	d.A = uint64(t.hop)
-	d.B = uint64(n.linkAfter(t.msg.Src, t.msg.Dst, stage))
+	d.A = uint64(hop)
+	d.B = uint64(n.linkAfter(src, int(ad.C>>16&0xffff), hop-1))
 	return d
 }
 
-// RestoreEvent rebuilds the callback for a saved network event. space
-// resolves a source endpoint to its sender's entrance-space retry
-// callback (the machine maps endpoints to cache or module drain
-// functions).
-func (n *Network) RestoreEvent(d sim.EventDesc, space func(src int) func()) (func(), error) {
+// advanceMsg unpacks the message an advance descriptor carries.
+func advanceMsg(d *sim.EventDesc) Message {
+	return Message{
+		Src: int(d.C & 0xffff), Dst: int(d.C >> 16 & 0xffff), Flits: int(d.C >> 32),
+		Bypass:  d.B>>8&1 != 0,
+		Payload: memory.Msg{Kind: memory.MsgKind(d.B & 0xff), Line: d.A},
+	}
+}
+
+// advanceHop returns the hop an advance descriptor's head is leaving.
+func advanceHop(d *sim.EventDesc) int { return int(d.B >> 16 & 0xffff) }
+
+// Fire runs one network event. The descriptor is trusted: the network
+// scheduled it, or CheckEvent vetted it on restore.
+func (n *Network) Fire(d *sim.EventDesc) {
 	switch d.Kind {
 	case netEvAdvance:
-		src := int(d.C & 0xffff)
-		dst := int(d.C >> 16 & 0xffff)
-		flits := int(d.C >> 32)
-		hop := int(d.B >> 16 & 0xffff)
-		if src < 0 || src >= n.ports || dst < 0 || dst >= n.ports || hop < 0 || hop > n.stages {
-			return nil, fmt.Errorf("network: advance event out of range (src %d dst %d hop %d)", src, dst, hop)
+		n.advance(d)
+	case netEvFree:
+		n.free(d)
+	default: // netEvSpace
+		n.drain(int(d.A))
+	}
+}
+
+// free ends a port's service of one message and starts the next.
+func (n *Network) free(d *sim.EventDesc) {
+	if d.A == 0 {
+		p := &n.entrance[d.B]
+		p.busy = false
+		n.kick(p, int(d.B))
+		return
+	}
+	p := &n.links[d.A-1][d.B]
+	p.busy = false
+	n.kick(p, -1)
+}
+
+// CheckEvent validates a network event descriptor read from a
+// snapshot: every endpoint, hop and link it names must exist.
+func (n *Network) CheckEvent(d sim.EventDesc) error {
+	switch d.Kind {
+	case netEvAdvance:
+		m, hop := advanceMsg(&d), advanceHop(&d)
+		if m.Src >= n.ports || m.Dst >= n.ports || hop > n.stages || m.Flits < 1 {
+			return fmt.Errorf("network: advance event out of range (src %d dst %d hop %d flits %d)", m.Src, m.Dst, hop, m.Flits)
 		}
-		t := n.allocTransit(Message{
-			Src: src, Dst: dst, Flits: flits, Bypass: d.B>>8&1 != 0,
-			Payload: memory.Msg{Kind: memory.MsgKind(d.B & 0xff), Line: d.A},
-		})
-		t.hop = hop
-		return t.advanceFn, nil
 	case netEvFree:
 		if d.A == 0 {
-			src := int(d.B)
-			if src < 0 || src >= n.ports {
-				return nil, fmt.Errorf("network: free event for entrance %d of %d", src, n.ports)
+			if d.B >= uint64(n.ports) {
+				return fmt.Errorf("network: free event for entrance %d of %d", d.B, n.ports)
 			}
-			return n.entrance[src].freeFn, nil
+		} else if d.A > uint64(n.stages) || d.B >= uint64(n.padded) {
+			return fmt.Errorf("network: free event for link %d.%d outside %d stages of %d", d.A-1, d.B, n.stages, n.padded)
 		}
-		stage := int(d.A) - 1
-		if stage >= n.stages || int(d.B) >= n.padded {
-			return nil, fmt.Errorf("network: free event for link %d.%d outside %d stages of %d", stage, d.B, n.stages, n.padded)
-		}
-		return n.links[stage][d.B].freeFn, nil
 	case netEvSpace:
-		src := int(d.A)
-		if src < 0 || src >= n.ports {
-			return nil, fmt.Errorf("network: space event for source %d of %d", src, n.ports)
+		if d.A >= uint64(n.ports) {
+			return fmt.Errorf("network: space event for source %d of %d", d.A, n.ports)
 		}
-		fn := space(src)
-		if fn == nil {
-			return nil, fmt.Errorf("network: no space callback resolved for source %d", src)
-		}
-		return fn, nil
+	default:
+		return fmt.Errorf("network: unknown event kind %d", d.Kind)
 	}
-	return nil, fmt.Errorf("network: unknown event kind %d", d.Kind)
+	return nil
 }
 
 // TransitState is one queued message in a snapshot. The hop is implied
@@ -129,7 +147,7 @@ type PortState struct {
 type NetState struct {
 	Entrance []PortState
 	Links    [][]PortState
-	OnSpace  []bool // sources with a registered WhenSpace callback
+	OnSpace  []bool // sources with a registered WhenSpace
 	InFlight int
 	Stats    Stats
 }
@@ -160,7 +178,7 @@ func (n *Network) Save() NetState {
 	}
 	for i := range n.entrance {
 		st.Entrance[i] = savePort(&n.entrance[i])
-		st.OnSpace[i] = n.onSpace[i] != nil
+		st.OnSpace[i] = n.onSpace[i]
 	}
 	for s := range n.links {
 		st.Links[s] = make([]PortState, n.padded)
@@ -179,17 +197,14 @@ func (n *Network) loadPort(p *port, st PortState, hop int) {
 		t := n.allocTransit(Message{
 			Src: ts.Src, Dst: ts.Dst, Flits: ts.Flits, Bypass: ts.Bypass,
 			Payload: memory.Msg{Kind: memory.MsgKind(ts.Kind), Line: ts.Line},
-		})
-		t.hop = hop
+		}, hop)
 		t.queued = ts.Queued
 		p.queue = append(p.queue, t)
 	}
 }
 
-// Load restores a freshly constructed network from a snapshot. space
-// resolves a source endpoint to its sender's entrance-space retry
-// callback, used to re-register saved WhenSpace registrations.
-func (n *Network) Load(st NetState, space func(src int) func()) error {
+// Load restores a freshly constructed network from a snapshot.
+func (n *Network) Load(st NetState) error {
 	if n.inFlight != 0 {
 		return fmt.Errorf("network: Load on a used network (%d in flight)", n.inFlight)
 	}
@@ -204,14 +219,8 @@ func (n *Network) Load(st NetState, space func(src int) func()) error {
 	}
 	for i := range n.entrance {
 		n.loadPort(&n.entrance[i], st.Entrance[i], 0)
-		if st.OnSpace[i] {
-			fn := space(i)
-			if fn == nil {
-				return fmt.Errorf("network: no space callback resolved for source %d", i)
-			}
-			n.onSpace[i] = fn
-		}
 	}
+	copy(n.onSpace, st.OnSpace)
 	for s := range n.links {
 		for i := range n.links[s] {
 			n.loadPort(&n.links[s][i], st.Links[s][i], s+1)

@@ -45,6 +45,19 @@ func TestRaiseUnwindsAsTypedError(t *testing.T) {
 	Raisef("cache", 2, 10, "RecallInv", 0x40, "boom %d", 1)
 }
 
+// drive arms w and calls Check every Window cycles for as long as it
+// asks to keep ticking — the cadence the machine runs its watchdog on.
+func drive(eng *sim.Engine, w *Watchdog) {
+	w.Arm()
+	var tick func()
+	tick = func() {
+		if w.Check() {
+			eng.After(w.Window, tick)
+		}
+	}
+	eng.After(w.Window, tick)
+}
+
 func TestWatchdogFiresOnlyWithoutProgress(t *testing.T) {
 	var eng sim.Engine
 	progress := uint64(0)
@@ -54,15 +67,16 @@ func TestWatchdogFiresOnlyWithoutProgress(t *testing.T) {
 		Progress: func() uint64 { return progress },
 		OnStall:  func(window sim.Cycle, p uint64) { stalls++ },
 	}
-	w.Start(&eng)
+	drive(&eng, w)
 	// Keep making progress for 5 windows, then stop.
-	eng.Every(10, func() bool {
+	var work func()
+	work = func() {
 		if eng.Now() <= 50 {
 			progress++
-			return true
+			eng.After(10, work)
 		}
-		return false
-	})
+	}
+	eng.After(10, work)
 	eng.Run(nil)
 	if stalls != 1 {
 		t.Errorf("watchdog fired %d times, want exactly 1 (after progress stopped)", stalls)
@@ -78,7 +92,7 @@ func TestWatchdogStopsWhenDone(t *testing.T) {
 		Done:     func() bool { return true },
 		OnStall:  func(sim.Cycle, uint64) { stalls++ },
 	}
-	w.Start(&eng)
+	drive(&eng, w)
 	eng.Run(nil)
 	if stalls != 0 {
 		t.Errorf("watchdog fired %d times on a finished run", stalls)

@@ -8,8 +8,9 @@ import "memsim/internal/sim"
 // change. Done short-circuits the check and stops the watchdog once
 // the run has finished, so residual ticks never fire after completion.
 //
-// The watchdog schedules one engine event per window; it reads state
-// only and therefore never perturbs simulated timing.
+// The owner schedules one engine event per window and calls Check from
+// it; the watchdog reads state only and therefore never perturbs
+// simulated timing.
 type Watchdog struct {
 	Window   sim.Cycle
 	Progress func() uint64 // monotone forward-progress counter
@@ -61,12 +62,4 @@ func (w *Watchdog) Restore(last uint64) {
 		w.Arm()
 	}
 	w.last = last
-}
-
-// Start arms the watchdog and schedules its ticks on the engine. Runs
-// driven through the machine's snapshotting path use Arm/Check instead
-// so the ticks are serializable.
-func (w *Watchdog) Start(eng *sim.Engine) {
-	w.Arm()
-	eng.Every(w.Window, w.Check)
 }

@@ -1,9 +1,13 @@
 // Package sim provides the discrete-event core that all timed components
 // of the simulator share: a monotonically advancing cycle counter and a
-// priority queue of callbacks scheduled at future cycles.
+// priority queue of events scheduled at future cycles.
 //
-// The engine is deliberately minimal. Components schedule closures with
-// At/After; the machine drains the queue in (cycle, insertion-order)
+// The engine is deliberately minimal. An event is plain data: a firing
+// cycle, an insertion sequence number and an EventDesc naming the
+// owning component class, unit, kind and operands. Step hands the
+// descriptor to the handler registered for its class (Handle), so the
+// same value that drives dispatch is what Save writes and Load
+// re-inserts. The machine drains the queue in (cycle, insertion-order)
 // order, which makes every simulation deterministic and therefore
 // reproducible in tests.
 //
@@ -11,7 +15,7 @@
 // power-of-two ring of per-cycle FIFO buckets covers the near horizon
 // [Now, Now+horizon), a two-level bitmap finds the next occupied
 // bucket in O(1), and a small typed min-heap holds the rare far-future
-// events (watchdog and Every ticks) until the window slides over them.
+// events (watchdog and checker ticks) until the window slides over them.
 // Event records are typed nodes recycled through a free list, so the
 // steady-state schedule/execute cycle performs zero heap allocations —
 // no interface{} boxing, no per-event container churn. The execution
@@ -40,12 +44,11 @@ const (
 	bmWords = horizon / 64
 )
 
-// node is one scheduled callback, linked into a bucket FIFO or parked
-// on the free list. Nodes are addressed by 1-based int32 handles into
+// node is one scheduled event, linked into a bucket FIFO or parked on
+// the free list. Nodes are addressed by 1-based int32 handles into
 // Engine.nodes; handle 0 means "none", which keeps the zero-valued
 // Engine ready to use.
 type node struct {
-	fn   func()
 	at   Cycle
 	seq  uint64 // tie-breaker: insertion order within a cycle
 	next int32  // bucket FIFO / free-list link
@@ -78,6 +81,30 @@ type Engine struct {
 	// every overflow event satisfies that bound, so the ring always
 	// owns the earliest pending cycle whenever it is non-empty.
 	overflow []int32
+
+	// handlers[c] fires every event of component class c; cur holds
+	// the descriptor of the event being fired, which Step lends to the
+	// handler for the duration of the call.
+	handlers [compClasses]func(*EventDesc)
+	cur      EventDesc
+
+	// fns holds the callbacks of pending plain At/After events, which
+	// are CompNone descriptors whose A indexes a slot; fnFree lists
+	// the vacant slots.
+	fns    []func()
+	fnFree []uint64
+}
+
+// Handle registers fn as the handler for every event of component
+// class comp. The owner of the components (the machine, or a test
+// driving one component alone) registers each class once, before the
+// first event of that class fires. The descriptor fn receives is valid
+// only until fn returns; fn copies it to keep it.
+func (e *Engine) Handle(comp uint8, fn func(*EventDesc)) {
+	if comp == CompNone || comp >= compClasses {
+		panic("sim: Handle for an invalid component class")
+	}
+	e.handlers[comp] = fn
 }
 
 // Now returns the current simulated cycle.
@@ -89,30 +116,32 @@ func (e *Engine) Steps() uint64 { return e.steps }
 
 // alloc takes a node from the free list, growing the pool only when it
 // is exhausted (steady state allocates nothing).
-func (e *Engine) alloc(at Cycle, fn func()) int32 {
+func (e *Engine) alloc() int32 {
 	h := e.free
 	if h != 0 {
 		e.free = e.nodes[h].next
-	} else {
-		if e.nodes == nil {
-			e.nodes = make([]node, 1, 1024) // slot 0 reserved as nil
-		}
-		e.nodes = append(e.nodes, node{})
-		h = int32(len(e.nodes) - 1)
+		return h
 	}
-	n := &e.nodes[h]
-	n.at, n.seq, n.fn, n.next = at, e.seq, fn, 0
-	n.desc = EventDesc{}
-	return h
+	if e.nodes == nil {
+		e.nodes = make([]node, 1, 1024) // slot 0 reserved as nil
+	}
+	e.nodes = append(e.nodes, node{})
+	return int32(len(e.nodes) - 1)
 }
 
-// release returns a node to the free list, dropping its callback so
-// the garbage collector can reclaim whatever the closure captured.
-func (e *Engine) release(h int32) {
+// insert queues event d for cycle at with sequence number seq: in the
+// ring when it falls inside the horizon, in the overflow heap
+// otherwise.
+func (e *Engine) insert(at Cycle, seq uint64, d EventDesc) {
+	h := e.alloc()
 	n := &e.nodes[h]
-	n.fn = nil
-	n.next = e.free
-	e.free = h
+	n.at, n.seq, n.next, n.desc = at, seq, 0, d
+	e.count++
+	if at-e.now < horizon {
+		e.ringPush(h, at)
+	} else {
+		e.heapPush(h)
+	}
 }
 
 // ringPush appends a node to the bucket for cycle at (which must be
@@ -178,9 +207,9 @@ func (e *Engine) heapPop() int32 {
 
 // migrate moves overflow events that have entered the ring window into
 // their buckets. Called immediately after now advances, before the
-// popped event's callback runs: heap pops deliver the migrants in
-// (at, seq) order, and any direct insert for a newly covered cycle can
-// only happen in a later callback (inserting at cycle C from outside
+// popped event fires: heap pops deliver the migrants in (at, seq)
+// order, and any direct insert for a newly covered cycle can only
+// happen in a later event (inserting at cycle C from outside
 // the overflow requires now > C-horizon, by which point this migration
 // has already run), so bucket FIFO order remains seq order.
 func (e *Engine) migrate() {
@@ -195,42 +224,42 @@ func (e *Engine) migrate() {
 	}
 }
 
-// At schedules fn to run at the given cycle. Scheduling in the past
-// (before Now) panics: it would silently reorder causality.
-func (e *Engine) At(at Cycle, fn func()) {
+// AtEvent schedules the event d at the given cycle. Scheduling in the
+// past (before Now) panics: it would silently reorder causality.
+func (e *Engine) AtEvent(at Cycle, d EventDesc) {
 	if at < e.now {
 		panic("sim: scheduling event in the past")
 	}
 	e.seq++
-	h := e.alloc(at, fn)
-	e.count++
-	if at-e.now < horizon {
-		e.ringPush(h, at)
-	} else {
-		e.heapPush(h)
-	}
+	e.insert(at, e.seq, d)
 }
 
-// After schedules fn to run delay cycles from now.
+// AfterEvent schedules the event d delay cycles from now.
+func (e *Engine) AfterEvent(delay Cycle, d EventDesc) {
+	e.seq++
+	e.insert(e.now+delay, e.seq, d)
+}
+
+// At schedules fn to run at the given cycle. It is a convenience for
+// tests and throwaway drivers: the callback parks in an engine-owned
+// slot named by a CompNone descriptor, which Save refuses to write.
+// Simulator components schedule descriptors through AtEvent instead.
+func (e *Engine) At(at Cycle, fn func()) {
+	var slot uint64
+	if n := len(e.fnFree); n > 0 {
+		slot = e.fnFree[n-1]
+		e.fnFree = e.fnFree[:n-1]
+		e.fns[slot] = fn
+	} else {
+		slot = uint64(len(e.fns))
+		e.fns = append(e.fns, fn)
+	}
+	e.AtEvent(at, EventDesc{Comp: CompNone, A: slot})
+}
+
+// After schedules fn to run delay cycles from now (see At).
 func (e *Engine) After(delay Cycle, fn func()) {
 	e.At(e.now+delay, fn)
-}
-
-// Every schedules fn to run every interval cycles, starting interval
-// cycles from now, for as long as fn returns true. Periodic observers
-// (watchdogs, invariant checkers) use it; a zero interval panics
-// because it would wedge the queue at the current cycle.
-func (e *Engine) Every(interval Cycle, fn func() bool) {
-	if interval == 0 {
-		panic("sim: Every with zero interval")
-	}
-	var tick func()
-	tick = func() {
-		if fn() {
-			e.After(interval, tick)
-		}
-	}
-	e.After(interval, tick)
 }
 
 // Pending reports whether any events remain in the queue.
@@ -306,10 +335,19 @@ func (e *Engine) Step() bool {
 			e.summary &^= 1 << w
 		}
 	}
-	fn := n.fn
+	e.cur = n.desc
+	n.next = e.free
+	e.free = h
 	e.count--
 	e.steps++
-	e.release(h)
+	if c := e.cur.Comp; c != CompNone {
+		e.handlers[c](&e.cur)
+		return true
+	}
+	slot := e.cur.A
+	fn := e.fns[slot]
+	e.fns[slot] = nil
+	e.fnFree = append(e.fnFree, slot)
 	fn()
 	return true
 }

@@ -27,26 +27,40 @@ func TestEdgeCases(t *testing.T) {
 	}
 }
 
-// testEveryReentrancy checks that an Every callback may itself
-// schedule events — including another Every — and that the combined
-// tick streams interleave in deterministic (cycle, insertion) order.
+// every runs fn every interval cycles, starting interval cycles from
+// now, for as long as fn returns true: a periodic stream that re-arms
+// only after each tick's callback returns.
+func every(e *Engine, interval Cycle, fn func() bool) {
+	var tick func()
+	tick = func() {
+		if fn() {
+			e.After(interval, tick)
+		}
+	}
+	e.After(interval, tick)
+}
+
+// testEveryReentrancy checks that a periodic callback may itself
+// schedule events — including another periodic stream — and that the
+// combined tick streams interleave in deterministic (cycle, insertion)
+// order.
 func testEveryReentrancy(t *testing.T) {
 	var e Engine
 	var got []string
 	outer := 0
-	e.Every(10, func() bool {
+	every(&e, 10, func() bool {
 		outer++
 		got = append(got, fmt.Sprintf("outer@%d", e.Now()))
 		if outer == 1 {
 			// Re-entrant: start a second periodic stream from inside the
 			// first one's callback.
-			e.Every(10, func() bool {
+			every(&e, 10, func() bool {
 				got = append(got, fmt.Sprintf("inner@%d", e.Now()))
 				return e.Now() < 40
 			})
 			// And a one-shot at the exact cycle of future ticks: the
-			// inner Every's first tick was inserted just before it, and
-			// the outer Every re-arms only after this callback returns,
+			// inner stream's first tick was inserted just before it, and
+			// the outer stream re-arms only after this callback returns,
 			// so cycle 20 must run inner, shot, outer in that order.
 			e.At(20, func() { got = append(got, fmt.Sprintf("shot@%d", e.Now())) })
 		}
@@ -158,7 +172,7 @@ func testCrossHorizonDelay(t *testing.T) {
 		// cycle; it was inserted later so it must run second.
 		e.After(99_999, func() { got = append(got, fmt.Sprintf("tie@%d", e.Now())) })
 	})
-	e.Every(30_000, func() bool {
+	every(&e, 30_000, func() bool {
 		got = append(got, fmt.Sprintf("tick@%d", e.Now()))
 		return e.Now() < 90_000
 	})

@@ -6,10 +6,12 @@ import (
 )
 
 // Component classes for event descriptors. The machine layer assigns
-// one class per component type; Unit distinguishes instances. CompNone
-// marks an event scheduled through plain At/After — such events cannot
-// be serialized, and Save reports them so implicit state is flushed out
-// instead of silently dropped.
+// one class per component type and registers one handler per class
+// (Engine.Handle); Unit distinguishes instances. CompNone marks an
+// event scheduled through plain At/After — its descriptor names only
+// an engine-owned callback slot, so such events cannot be serialized,
+// and Save reports them so implicit state is flushed out instead of
+// silently dropped.
 const (
 	CompNone uint8 = iota
 	CompMachine
@@ -17,13 +19,15 @@ const (
 	CompCache
 	CompModule
 	CompNet
+
+	compClasses // number of classes, CompNone included
 )
 
-// EventDesc describes a scheduled callback as plain data so a pending
-// event can be written to a snapshot and rebuilt on restore. Comp/Unit
-// identify the owning component; Kind and A/B/C are interpreted by that
-// component's RestoreEvent method. The descriptor must carry everything
-// the owner needs to rebuild the exact closure it scheduled.
+// EventDesc is a scheduled event as plain data: Comp/Unit identify the
+// owning component; Kind and A/B/C are interpreted by that component's
+// Fire method. The descriptor carries everything the owner needs to
+// act when the event fires, so the value the engine dispatches is the
+// value a snapshot stores.
 type EventDesc struct {
 	Comp uint8
 	Kind uint8
@@ -35,7 +39,7 @@ type EventDesc struct {
 
 // EventState is one pending event in a snapshot: its firing cycle, its
 // insertion sequence number (the tie-breaker that fixes execution order
-// within a cycle), and the descriptor to rebuild its callback from.
+// within a cycle), and its descriptor.
 type EventState struct {
 	At   Cycle
 	Seq  uint64
@@ -52,35 +56,10 @@ type EngineState struct {
 	Events []EventState
 }
 
-// AtEvent schedules fn like At and tags the event with a descriptor so
-// it can be serialized by Save. All simulator components schedule
-// through AtEvent/AfterEvent; plain At remains for tests and throwaway
-// drivers whose engines are never snapshotted.
-func (e *Engine) AtEvent(at Cycle, fn func(), d EventDesc) {
-	if at < e.now {
-		panic("sim: scheduling event in the past")
-	}
-	e.seq++
-	h := e.alloc(at, fn)
-	e.nodes[h].desc = d
-	e.count++
-	if at-e.now < horizon {
-		e.ringPush(h, at)
-	} else {
-		e.heapPush(h)
-	}
-}
-
-// AfterEvent schedules fn to run delay cycles from now, tagged with a
-// descriptor (see AtEvent).
-func (e *Engine) AfterEvent(delay Cycle, fn func(), d EventDesc) {
-	e.AtEvent(e.now+delay, fn, d)
-}
-
 // Save captures the engine's counters and every pending event. It
-// fails if any pending event was scheduled without a descriptor
-// (through plain At/After): such an event holds state only its closure
-// knows, which a snapshot cannot carry.
+// fails if any pending event was scheduled through plain At/After:
+// such an event holds state only its callback knows, which a snapshot
+// cannot carry.
 func (e *Engine) Save() (EngineState, error) {
 	st := EngineState{Now: e.now, Seq: e.seq, Steps: e.steps}
 	if e.count > 0 {
@@ -114,20 +93,19 @@ func (e *Engine) Save() (EngineState, error) {
 }
 
 // Load rebuilds the engine from a saved state: counters are restored
-// and every saved event is re-inserted with its original cycle and
-// sequence number, its callback resolved from the descriptor. The
-// engine must be freshly constructed (nothing scheduled); resolve must
-// return the exact closure the owning component originally scheduled.
+// and every saved event is re-inserted unchanged, with its original
+// cycle and sequence number. The engine must be freshly constructed
+// (nothing scheduled). Load checks the queue's own invariants; what a
+// descriptor's operands mean is its owner's to validate before Load
+// (the machine's CheckEvent pass).
 //
 // Because events arrive sorted by Seq and buckets append at the tail,
 // every bucket's FIFO order equals seq order, so the restored engine
 // executes events in an order bit-identical to the uninterrupted run.
-func (e *Engine) Load(st EngineState, resolve func(EventDesc) (func(), error)) error {
+func (e *Engine) Load(st EngineState) error {
 	if e.count != 0 || e.steps != 0 {
 		return fmt.Errorf("sim: Load on a used engine (%d pending, %d executed)", e.count, e.steps)
 	}
-	e.now = st.Now
-	e.steps = st.Steps
 	prev := uint64(0)
 	for _, ev := range st.Events {
 		if ev.Seq <= prev {
@@ -140,22 +118,15 @@ func (e *Engine) Load(st EngineState, resolve func(EventDesc) (func(), error)) e
 		if ev.At < st.Now {
 			return fmt.Errorf("sim: saved event at cycle %d before engine time %d", ev.At, st.Now)
 		}
-		fn, err := resolve(ev.Desc)
-		if err != nil {
-			return fmt.Errorf("sim: resolving event at cycle %d (seq %d): %w", ev.At, ev.Seq, err)
+		if c := ev.Desc.Comp; c == CompNone || c >= compClasses {
+			return fmt.Errorf("sim: saved event at cycle %d (seq %d) has invalid component class %d", ev.At, ev.Seq, c)
 		}
-		if fn == nil {
-			return fmt.Errorf("sim: resolver returned nil callback for event at cycle %d (seq %d)", ev.At, ev.Seq)
-		}
-		h := e.alloc(ev.At, fn)
-		e.nodes[h].seq = ev.Seq
-		e.nodes[h].desc = ev.Desc
-		e.count++
-		if ev.At-e.now < horizon {
-			e.ringPush(h, ev.At)
-		} else {
-			e.heapPush(h)
-		}
+	}
+	e.now = st.Now
+	e.steps = st.Steps
+	for i := range st.Events {
+		ev := &st.Events[i]
+		e.insert(ev.At, ev.Seq, ev.Desc)
 	}
 	e.seq = st.Seq
 	return nil

@@ -1,17 +1,15 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// resolver returns the same recording callback for every descriptor,
-// tagging executions with the descriptor's A field.
-func resolver(order *[]uint64) func(EventDesc) (func(), error) {
-	return func(d EventDesc) (func(), error) {
-		a := d.A
-		return func() { *order = append(*order, a) }, nil
-	}
+// record routes e's CompMachine events to a handler that appends each
+// fired descriptor's A field to order.
+func record(e *Engine, order *[]uint64) {
+	e.Handle(CompMachine, func(d *EventDesc) { *order = append(*order, d.A) })
 }
 
 // TestEngineSaveLoadRoundTrip schedules a mix of near events (ring),
@@ -21,16 +19,16 @@ func resolver(order *[]uint64) func(EventDesc) (func(), error) {
 func TestEngineSaveLoadRoundTrip(t *testing.T) {
 	var e1 Engine
 	var got1 []uint64
-	rec := func(id uint64) func() { return func() { got1 = append(got1, id) } }
+	record(&e1, &got1)
 	desc := func(id uint64) EventDesc { return EventDesc{Comp: CompMachine, Kind: 1, A: id} }
 
 	// Ties at cycle 10, spread in the ring, and two beyond the horizon.
-	e1.AtEvent(10, rec(1), desc(1))
-	e1.AtEvent(10, rec(2), desc(2))
-	e1.AtEvent(3, rec(3), desc(3))
-	e1.AtEvent(700, rec(4), desc(4))
-	e1.AtEvent(5000, rec(5), desc(5))
-	e1.AtEvent(2100, rec(6), desc(6))
+	e1.AtEvent(10, desc(1))
+	e1.AtEvent(10, desc(2))
+	e1.AtEvent(3, desc(3))
+	e1.AtEvent(700, desc(4))
+	e1.AtEvent(5000, desc(5))
+	e1.AtEvent(2100, desc(6))
 
 	// Execute the first event only, then snapshot mid-flight.
 	if !e1.Step() {
@@ -51,7 +49,8 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 	var e2 Engine
 	var got2 []uint64
 	got2 = append(got2, got1[0]) // the event executed before the snapshot
-	if err := e2.Load(st, resolver(&got2)); err != nil {
+	record(&e2, &got2)
+	if err := e2.Load(st); err != nil {
 		t.Fatal(err)
 	}
 	if e2.Now() != st.Now {
@@ -78,9 +77,9 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 // run.
 func TestEngineSeqContinuesAfterLoad(t *testing.T) {
 	var e1 Engine
-	d := EventDesc{Comp: CompMachine, Kind: 1}
-	e1.AtEvent(50, func() {}, d)
-	e1.AtEvent(50, func() {}, d)
+	d := EventDesc{Comp: CompMachine, Kind: 1, A: 1}
+	e1.AtEvent(50, d)
+	e1.AtEvent(50, d)
 	st, err := e1.Save()
 	if err != nil {
 		t.Fatal(err)
@@ -88,21 +87,16 @@ func TestEngineSeqContinuesAfterLoad(t *testing.T) {
 
 	var e2 Engine
 	var order []uint64
-	if err := e2.Load(st, resolver(&order)); err != nil {
+	record(&e2, &order)
+	if err := e2.Load(st); err != nil {
 		t.Fatal(err)
 	}
 	// A new event at the same cycle must run after both restored ones.
-	ran := false
-	e2.AtEvent(50, func() {
-		ran = true
-		if len(order) != 2 {
-			t.Errorf("new event ran before %d restored events at the same cycle", 2-len(order))
-		}
-	}, d)
+	e2.AtEvent(50, EventDesc{Comp: CompMachine, Kind: 1, A: 2})
 	for e2.Step() {
 	}
-	if !ran {
-		t.Fatal("post-load event never ran")
+	if want := []uint64{1, 1, 2}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("execution order %v, want %v", order, want)
 	}
 }
 
@@ -125,51 +119,54 @@ func TestEngineSaveRejectsUntaggedEvents(t *testing.T) {
 // engine.
 func TestEngineLoadRejectsUsedEngine(t *testing.T) {
 	var e1 Engine
-	e1.AtEvent(1, func() {}, EventDesc{Comp: CompMachine, Kind: 1})
+	e1.AtEvent(1, EventDesc{Comp: CompMachine, Kind: 1})
 	st, err := e1.Save()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var e2 Engine
-	e2.AtEvent(2, func() {}, EventDesc{Comp: CompMachine, Kind: 1})
-	var order []uint64
-	if err := e2.Load(st, resolver(&order)); err == nil {
+	e2.AtEvent(2, EventDesc{Comp: CompMachine, Kind: 1})
+	if err := e2.Load(st); err == nil {
 		t.Error("Load succeeded on an engine with pending events")
 	}
 	var e3 Engine
 	e3.At(1, func() {})
 	e3.Step()
-	if err := e3.Load(st, resolver(&order)); err == nil {
+	if err := e3.Load(st); err == nil {
 		t.Error("Load succeeded on an engine that has executed events")
 	}
 }
 
 // TestEngineLoadRejectsMalformedState pins Load's validation: events
-// out of seq order, beyond the saved counter, or in the past.
+// out of seq order, beyond the saved counter, in the past, or naming
+// no component class a handler could be registered for.
 func TestEngineLoadRejectsMalformedState(t *testing.T) {
 	base := EngineState{Now: 100, Seq: 10, Events: []EventState{
 		{At: 110, Seq: 4, Desc: EventDesc{Comp: CompMachine, Kind: 1}},
 		{At: 120, Seq: 7, Desc: EventDesc{Comp: CompMachine, Kind: 1}},
 	}}
-	var order []uint64
-
 	check := func(name string, mutate func(*EngineState)) {
 		st := base
 		st.Events = append([]EventState(nil), base.Events...)
 		mutate(&st)
 		var e Engine
-		if err := e.Load(st, resolver(&order)); err == nil {
+		if err := e.Load(st); err == nil {
 			t.Errorf("%s: Load succeeded", name)
+		}
+		if e.Pending() || e.Now() != 0 {
+			t.Errorf("%s: rejected Load left the engine changed", name)
 		}
 	}
 	check("duplicate seq", func(st *EngineState) { st.Events[1].Seq = 4 })
 	check("decreasing seq", func(st *EngineState) { st.Events[1].Seq = 2 })
 	check("seq beyond counter", func(st *EngineState) { st.Events[1].Seq = 11 })
 	check("event in the past", func(st *EngineState) { st.Events[0].At = 99 })
+	check("closure event", func(st *EngineState) { st.Events[1].Desc.Comp = CompNone })
+	check("unknown class", func(st *EngineState) { st.Events[1].Desc.Comp = compClasses })
 
 	// The base state itself must load.
 	var e Engine
-	if err := e.Load(base, resolver(&order)); err != nil {
+	if err := e.Load(base); err != nil {
 		t.Fatalf("valid state rejected: %v", err)
 	}
 }
