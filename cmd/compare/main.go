@@ -36,6 +36,7 @@ import (
 
 	"memsim/internal/compare"
 	"memsim/internal/consistency"
+	"memsim/internal/litmus"
 )
 
 func main() {
@@ -125,7 +126,7 @@ func replay(ctx context.Context, path string, runs int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("witness %s \\ %s: %s\n", w.Weak, w.Strong, compare.FormatProgram(w.Threads))
+	fmt.Printf("witness %s \\ %s: %s\n", w.Weak, w.Strong, litmus.FormatProgram(w.Threads))
 	fmt.Printf("  outcome %s\n", w.Outcome)
 	v, err := compare.Replay(ctx, w, compare.VerifyConfig{Runs: runs, Seed: seed})
 	if err != nil {
@@ -174,7 +175,7 @@ func printResult(r *compare.Result, verified bool) {
 		}
 		w := p.Witness
 		fmt.Printf("  %s \\ %s  (%d ops)\n    %s\n    outcome: %s\n",
-			p.Weak, p.Strong, w.Ops, compare.FormatProgram(w.Threads), w.Outcome)
+			p.Weak, p.Strong, w.Ops, litmus.FormatProgram(w.Threads), w.Outcome)
 		if w.Verification != nil {
 			printVerification(w.Verification)
 		}

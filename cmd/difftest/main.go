@@ -35,6 +35,7 @@ import (
 
 	"memsim/internal/consistency"
 	"memsim/internal/difftest"
+	"memsim/internal/litmus"
 )
 
 func main() {
@@ -135,7 +136,7 @@ func main() {
 					fatal(err)
 				}
 				fmt.Printf("     shrunk %d -> %d ops (%d candidates): %s\n",
-					info.FromOps, info.ToOps, info.Candidates, difftest.FormatProgram(min.Threads))
+					info.FromOps, info.ToOps, info.Candidates, litmus.FormatProgram(min.Threads))
 			}
 			// Re-check the minimized program to get its violation
 			// record (allowed set and replay spec match min, not prog).

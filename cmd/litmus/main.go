@@ -1,8 +1,8 @@
 // litmus runs the memory-model conformance harness from the command
 // line: classic litmus tests generated onto the simulated machine,
 // executed under perturbed seeds, with every observed outcome checked
-// against the model's allowed set (the exhaustive SC-interleaving
-// oracle, plus each relaxed model's whitelisted reorderings).
+// against the model's allowed set (every outcome the model's spec-
+// derived ordering rules let the test's operations reach).
 //
 // Usage:
 //

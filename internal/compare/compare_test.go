@@ -1,88 +1,15 @@
 package compare
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"memsim/internal/consistency"
 	"memsim/internal/litmus"
 )
-
-// TestEngineMatchesLitmusAllowed is the comparator's anchor: on every
-// declarative litmus-library test, under every model, the allowed-
-// outcome engine must reproduce exactly the oracle-plus-whitelist set
-// the conformance harness enforces. A mismatch either way means the
-// comparator and the harness have diverged on what a model allows.
-func TestEngineMatchesLitmusAllowed(t *testing.T) {
-	for _, lt := range litmus.Library() {
-		if lt.Threads == nil {
-			continue // custom tests (spin locks) have no declarative ops
-		}
-		for _, m := range consistency.Models {
-			spec := consistency.SpecFor(m)
-			got, err := Outcomes(lt, spec)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", lt.Name, m, err)
-			}
-			want := lt.AllowedKeys(spec)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: engine and litmus allowed sets differ\n engine: %v\n litmus: %v",
-					lt.Name, m, got, want)
-			}
-		}
-	}
-}
-
-// TestEngineForwardingShape pins the read-own-write-early semantics
-// with the 5-op n6-style program:
-//
-//	P0: st x=1; ld x; ld y  ||  P1: st y=2; stRel x=2
-//
-// Outcome P0 reads x=1, y=0 with final memory x=1 y=2: on the write-
-// buffer models P0's load of x forwards from its own buffered store
-// (which performs last, after P1's x=2) while ld y still runs before
-// P1 starts. On models that keep loads ordered (SC, bSC1, bWO1) the
-// chain st x=1 < ld x < ld y < st y=2 < stRel x=2 < st x=1 is cyclic,
-// so they forbid it. WO1 and RC, however, relax load-load order, so
-// they reach the same outcome withOUT forwarding (run ld y first,
-// then P1, then st x=1, then ld x reads memory): forwarding is only
-// observable against models with blocking loads — which is exactly
-// why this shape is the minimal PSO-versus-bWO1 witness.
-func TestEngineForwardingShape(t *testing.T) {
-	prog := []litmus.Thread{
-		{litmus.Op{Kind: litmus.OpStore, Loc: 0, Val: 1},
-			litmus.Op{Kind: litmus.OpLoad, Loc: 0},
-			litmus.Op{Kind: litmus.OpLoad, Loc: 1}},
-		{litmus.Op{Kind: litmus.OpStore, Loc: 1, Val: 2},
-			litmus.Op{Kind: litmus.OpStore, Loc: 0, Val: 2, Ann: litmus.AnnRelease}},
-	}
-	tt, _ := synthTest(prog)
-	const outcome = "P0:r4=1 P0:r5=0 | x=1 y=2"
-	allows := func(m consistency.Model) bool {
-		keys, err := Outcomes(tt, consistency.SpecFor(m))
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		return toSet(keys)[outcome]
-	}
-	for _, m := range []consistency.Model{consistency.TSO, consistency.PSO, consistency.PC} {
-		if !allows(m) {
-			t.Errorf("%s: forwarding outcome %q not allowed; write-buffer forwarding lost", m, outcome)
-		}
-	}
-	for _, m := range []consistency.Model{consistency.SC1, consistency.BSC1, consistency.BWO1} {
-		if allows(m) {
-			t.Errorf("%s: forwarding outcome %q allowed without a write buffer", m, outcome)
-		}
-	}
-	// WO1/RC mimic the outcome through load-load reordering instead of
-	// forwarding, so they must allow it too (see doc comment).
-	for _, m := range []consistency.Model{consistency.WO1, consistency.RC} {
-		if !allows(m) {
-			t.Errorf("%s: outcome %q should be reachable via RR reordering", m, outcome)
-		}
-	}
-}
 
 // TestCompareLattice runs the full default-budget search over all ten
 // models and pins the zoo's strictness lattice: the behavioral
@@ -176,10 +103,10 @@ func TestCompareLattice(t *testing.T) {
 		}
 		if p.Witness.Ops > c.maxOps {
 			t.Errorf("pair (%s, %s): minimal witness has %d ops, want <= %d: %s",
-				c.weak, c.strong, p.Witness.Ops, c.maxOps, FormatProgram(p.Witness.Threads))
+				c.weak, c.strong, p.Witness.Ops, c.maxOps, litmus.FormatProgram(p.Witness.Threads))
 		}
 		t.Logf("%s \\ %s: %s :: %s", c.weak, c.strong,
-			FormatProgram(p.Witness.Threads), p.Witness.Outcome)
+			litmus.FormatProgram(p.Witness.Threads), p.Witness.Outcome)
 	}
 }
 
@@ -237,11 +164,11 @@ func TestVerifyOnHardware(t *testing.T) {
 		t.Errorf("witness not verified: %+v", v)
 	}
 	t.Logf("TSO \\ SC1 verified: %s :: %s (first hit seed %d, %d/%d hits)",
-		FormatProgram(p.Witness.Threads), p.Witness.Outcome, v.WeakHitSeed, v.WeakHits, v.Runs)
+		litmus.FormatProgram(p.Witness.Threads), p.Witness.Outcome, v.WeakHitSeed, v.WeakHits, v.Runs)
 
 	// Reverse direction must not exist: SC allows nothing TSO forbids.
 	if q := res.Pair("SC1", "TSO"); q != nil && q.Separated {
-		t.Errorf("SC1 \\ TSO separation claimed: %s", FormatProgram(q.Witness.Threads))
+		t.Errorf("SC1 \\ TSO separation claimed: %s", litmus.FormatProgram(q.Witness.Threads))
 	}
 }
 
@@ -281,7 +208,7 @@ func TestEnumerateCanonical(t *testing.T) {
 	count := 0
 	b.Enumerate(func(prog []litmus.Thread) bool {
 		count++
-		key := FormatProgram(prog)
+		key := litmus.FormatProgram(prog)
 		if seen[key] {
 			t.Fatalf("duplicate program: %s", key)
 		}
@@ -299,4 +226,35 @@ func TestEnumerateCanonical(t *testing.T) {
 		t.Fatal("enumerator produced nothing")
 	}
 	t.Logf("%d canonical programs at ops<=4", count)
+}
+
+// TestLoadWitnessRejectsMalformed: a witness file whose program holds
+// a location outside x..w, or an operation kind or annotation outside
+// its enum, is rejected by LoadWitness with an error, before anything
+// formats or replays it.
+func TestLoadWitnessRejectsMalformed(t *testing.T) {
+	for name, bad := range map[string]litmus.Op{
+		"loc 4":  {Kind: litmus.OpLoad, Loc: 4},
+		"loc -1": {Kind: litmus.OpStore, Loc: -1, Val: 1},
+		"kind 7": {Kind: 7},
+		"ann 9":  {Kind: litmus.OpLoad, Ann: 9},
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := Witness{Weak: "TSO", Strong: "SC1", Threads: []litmus.Thread{
+				{{Kind: litmus.OpStore, Val: 1}, bad},
+				{{Kind: litmus.OpLoad}},
+			}}
+			data, err := json.Marshal(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "w.json")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadWitness(path); err == nil {
+				t.Errorf("witness with %s loaded without error", name)
+			}
+		})
+	}
 }

@@ -50,7 +50,7 @@ type Verification struct {
 
 // verifyWitness replays one candidate on both models.
 func verifyWitness(ctx context.Context, w *Witness, weak, strong consistency.Model, cfg VerifyConfig) (*Verification, error) {
-	t, _ := synthTest(w.Threads)
+	t, _ := litmus.SynthTest(w.Threads)
 	t.Name = fmt.Sprintf("witness-%s-not-%s", w.Weak, w.Strong)
 	v := &Verification{
 		WeakModel:      weak.String(),
@@ -170,8 +170,8 @@ func LoadWitness(path string) (*Witness, error) {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(w.Threads) == 0 {
-		return nil, fmt.Errorf("%s: witness has no program", path)
+	if err := litmus.ValidateProgram(w.Threads); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &w, nil
 }

@@ -188,8 +188,9 @@ type Relaxation struct {
 }
 
 // Relaxations derives the spec's visible reordering capabilities from
-// its hardware dials. The litmus whitelists and the model comparator's
-// allowed-outcome engine are both gated on these axes.
+// its hardware dials. The litmus allowed-outcome engine, which the
+// conformance harness, comparator and differential tester share,
+// orders plain accesses by these axes.
 func (s Spec) Relaxations() Relaxation {
 	if s.SequentiallyConsistent() {
 		return Relaxation{}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"memsim/internal/consistency"
+	"memsim/internal/litmus"
 )
 
 // TestEngineOracleAgreement sweeps generated programs through
@@ -23,7 +24,7 @@ func TestEngineOracleAgreement(t *testing.T) {
 		p := Generate(g, seed)
 		for _, m := range consistency.Models {
 			if _, err := AllowedSet(p, consistency.SpecFor(m)); err != nil {
-				t.Fatalf("program seed %d (%s) under %s: %v", seed, FormatProgram(p.Threads), m, err)
+				t.Fatalf("program seed %d (%s) under %s: %v", seed, litmus.FormatProgram(p.Threads), m, err)
 			}
 		}
 	}
@@ -47,7 +48,7 @@ func TestEngineOracleAgreementWideDials(t *testing.T) {
 			p := Generate(g, seed)
 			for _, m := range consistency.Models {
 				if _, err := AllowedSet(p, consistency.SpecFor(m)); err != nil {
-					t.Fatalf("dials %+v seed %d (%s) under %s: %v", g, seed, FormatProgram(p.Threads), m, err)
+					t.Fatalf("dials %+v seed %d (%s) under %s: %v", g, seed, litmus.FormatProgram(p.Threads), m, err)
 				}
 			}
 		}

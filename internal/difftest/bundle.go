@@ -63,7 +63,7 @@ func NewBundle(p Program, orig []litmus.Thread, v *Violation, gen *GenConfig, cf
 		Model:         v.Model,
 		CheckSeed:     cfg.Seed,
 		Runs:          cfg.Runs,
-		Text:          FormatProgram(p.Threads),
+		Text:          litmus.FormatProgram(p.Threads),
 		Threads:       p.Threads,
 		Stride:        p.Stride,
 		Original:      orig,
@@ -117,8 +117,8 @@ func LoadBundle(path string) (*Bundle, error) {
 	if b.Replay == nil {
 		return nil, fmt.Errorf("%s: bundle has no replay record", path)
 	}
-	if len(b.Threads) == 0 {
-		return nil, fmt.Errorf("%s: bundle has no program", path)
+	if err := litmus.ValidateProgram(b.Threads); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &b, nil
 }

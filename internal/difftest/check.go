@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"memsim/internal/compare"
 	"memsim/internal/consistency"
 	"memsim/internal/litmus"
 	"memsim/internal/robust"
@@ -54,7 +53,7 @@ func (v *Violation) Error() *robust.SimError {
 		Component: "difftest",
 		Unit:      -1,
 		Detail: fmt.Sprintf("%s hardware produced %q, outside its model's allowed set (program %s, seed %d)",
-			v.Model, v.Outcome, FormatProgram(v.prog.Threads), v.Seed),
+			v.Model, v.Outcome, litmus.FormatProgram(v.prog.Threads), v.Seed),
 	}
 }
 
@@ -89,15 +88,10 @@ func (r *Report) Violations() []Violation {
 
 // synth wraps the program as a runnable litmus test.
 func synth(p Program) *litmus.Test {
-	t, _ := compare.SynthTest(p.Threads)
+	t, _ := litmus.SynthTest(p.Threads)
 	t.Name = fmt.Sprintf("difftest-%d", p.Seed)
 	t.Stride = p.Stride
 	return t
-}
-
-// FormatProgram renders a program in litmus notation.
-func FormatProgram(threads []litmus.Thread) string {
-	return compare.FormatProgram(threads)
 }
 
 // AllowedSet computes the spec-derived engine's allowed outcome keys
@@ -108,11 +102,14 @@ func FormatProgram(threads []litmus.Thread) string {
 // soundness bug and comes back as a typed Conformance error.
 func AllowedSet(p Program, spec consistency.Spec) ([]string, error) {
 	t := synth(p)
-	engine, err := compare.Outcomes(t, spec)
+	engine, err := t.Allowed(spec)
 	if err != nil {
 		return nil, err
 	}
-	oracle := t.AllowedKeys(consistency.SpecFor(consistency.SC1))
+	oracle, err := t.OracleKeys()
+	if err != nil {
+		return nil, err
+	}
 	engineSet := make(map[string]bool, len(engine))
 	for _, k := range engine {
 		engineSet[k] = true
@@ -124,7 +121,7 @@ func AllowedSet(p Program, spec consistency.Spec) ([]string, error) {
 				Component: "difftest",
 				Unit:      -1,
 				Detail: fmt.Sprintf("engine under %s drops SC-reachable outcome %q of program %s",
-					spec.Name, k, FormatProgram(p.Threads)),
+					spec.Name, k, litmus.FormatProgram(p.Threads)),
 			}
 		}
 	}
@@ -134,7 +131,7 @@ func AllowedSet(p Program, spec consistency.Spec) ([]string, error) {
 			Component: "difftest",
 			Unit:      -1,
 			Detail: fmt.Sprintf("engine under SC spec %s allows %d outcomes, oracle %d, on program %s",
-				spec.Name, len(engine), len(oracle), FormatProgram(p.Threads)),
+				spec.Name, len(engine), len(oracle), litmus.FormatProgram(p.Threads)),
 		}
 	}
 	return engine, nil
@@ -195,7 +192,7 @@ func CheckModel(ctx context.Context, p Program, model consistency.Model, cfg Che
 func CheckProgram(ctx context.Context, p Program, models []consistency.Model, cfg CheckConfig) (*Report, error) {
 	rep := &Report{
 		Program: p,
-		Text:    FormatProgram(p.Threads),
+		Text:    litmus.FormatProgram(p.Threads),
 		Runs:    cfg.withDefaults().Runs,
 	}
 	for _, m := range models {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"memsim/internal/consistency"
+	"memsim/internal/litmus"
 )
 
 // The committed corpus under testdata/corpus holds shrunk, replayable
@@ -99,7 +100,7 @@ func TestCorpusRealModelsPass(t *testing.T) {
 		}
 		for _, v := range rep.Violations() {
 			t.Errorf("%s: unmutated %s produced forbidden %q on the corpus program %s",
-				b.Name(), v.Model, v.Outcome, FormatProgram(b.Threads))
+				b.Name(), v.Model, v.Outcome, litmus.FormatProgram(b.Threads))
 		}
 	}
 }
@@ -144,5 +145,30 @@ func TestBundleRoundTrip(t *testing.T) {
 	if !res.OK() {
 		t.Fatalf("round-tripped bundle failed to replay: reproduced=%t still-forbidden=%t key=%q recorded=%q",
 			res.Reproduced, res.StillForbidden, res.Key, loaded.Observed)
+	}
+}
+
+// TestLoadBundleRejectsMalformed: a corpus bundle whose program is
+// corrupted on disk — a location outside x..w, an operation kind or
+// annotation outside its enum — is rejected by LoadBundle with an
+// error, before anything formats, synthesizes or replays it.
+func TestLoadBundleRejectsMalformed(t *testing.T) {
+	for name, corrupt := range map[string]func(*litmus.Op){
+		"loc 4":  func(op *litmus.Op) { op.Loc = 4 },
+		"loc -1": func(op *litmus.Op) { op.Loc = -1 },
+		"kind 7": func(op *litmus.Op) { op.Kind = 7 },
+		"ann 9":  func(op *litmus.Op) { op.Ann = 9 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			b := corpusBundles(t)[0]
+			corrupt(&b.Threads[0][0])
+			path, err := b.Write(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadBundle(path); err == nil {
+				t.Errorf("corrupted bundle (%s) loaded without error", name)
+			}
+		})
 	}
 }

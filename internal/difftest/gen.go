@@ -22,12 +22,12 @@ import (
 )
 
 // Hard capacity limits, derived from the rest of the system:
-// the compare engine's packed DFS state caps total operations; the
+// the litmus engine's packed DFS state caps total operations; the
 // litmus code generator's register conventions cap locations (address
 // registers r8..r11) and observed loads per thread (r4..r7).
 const (
 	MaxOps         = 12
-	MaxLocs        = 4
+	MaxLocs        = litmus.MaxLocs
 	MaxThreadLoads = 4
 	maxStoreVal    = 7 // keeps packed value bits at 3, well inside capacity
 )

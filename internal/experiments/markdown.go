@@ -7,6 +7,7 @@ import (
 
 	"memsim/internal/compare"
 	"memsim/internal/consistency"
+	"memsim/internal/litmus"
 )
 
 // WriteMarkdown runs every experiment (paper artifacts plus the
@@ -183,6 +184,6 @@ func writeWitnessSection(w io.Writer) error {
 		"1000× per side on the simulated hardware: the outcome is witnessed\n"+
 		"under TSO, appears zero times under SC1, and every observed outcome\n"+
 		"stays inside its model's engine-allowed set.\n\n",
-		res.Budget.MaxOps, compare.FormatProgram(wit.Threads), wit.Outcome)
+		res.Budget.MaxOps, litmus.FormatProgram(wit.Threads), wit.Outcome)
 	return nil
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // TestConformance is the full sweep: every library test under every
-// model, 150 perturbed seeds each — 1050 runs per litmus test. SC
-// models must stay inside the oracle's interleaving set; relaxed
-// models inside oracle set + whitelist. Coverage (witnessed vs.
+// model, 150 perturbed seeds each — 1050 runs per litmus test. Every
+// model must stay inside its engine-derived allowed set (for SC
+// models, the interleaving set). Coverage (witnessed vs.
 // allowed) is logged, not asserted: rare interleavings are allowed to
 // stay unwitnessed at this run count.
 func TestConformance(t *testing.T) {

@@ -1,27 +1,24 @@
 // Package litmus is the conformance harness for the memory models: a
 // library of classic litmus tests (store buffering, message passing,
 // load buffering, IRIW, coherence shapes, and a synclib-built lock
-// test), an exhaustive sequential-consistency oracle that enumerates
-// every interleaving of a test's abstract operations, and a
-// perturbation driver that runs the generated programs on the real
+// test), the allowed-outcome engine that derives each test's allowed
+// set from a model's consistency.Spec, an exhaustive sequential-
+// consistency oracle that cross-checks the engine's SC instance, and
+// a perturbation driver that runs the generated programs on the real
 // machine under every model and checks each observed outcome against
 // the model's allowed set.
 //
-// The allowed set of an SC model (SC1, SC2, bSC1) is exactly the
-// oracle's interleaving set. A relaxed model (WO1, WO2, RC, bWO1) is
-// allowed the oracle set plus the test's explicitly whitelisted
-// relaxed outcomes, each gated on the hardware capability that makes
-// it reachable (e.g. load-buffering reordering needs non-blocking
-// loads, so bWO1 does not get it). Anything else is a violation: the
+// The allowed set of a model is exactly what the engine reaches when
+// it executes the test's operations in every order the model's
+// hardware dials preserve (e.g. load-buffering needs non-blocking
+// loads, so bWO1 never reaches it). Anything else is a violation: the
 // hardware reordered where its contract says it must not.
 package litmus
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
-	"memsim/internal/consistency"
 	"memsim/internal/isa"
 	"memsim/internal/progb"
 	"memsim/internal/workloads"
@@ -58,6 +55,92 @@ type Op struct {
 // Thread is one thread's program-ordered operation list.
 type Thread []Op
 
+// MaxLocs is how many locations a program may name: one per name in
+// progLocNames, and one per code-generator address register (r8..r11).
+const MaxLocs = 4
+
+// progLocNames names the locations of a program built by SynthTest.
+var progLocNames = []string{"x", "y", "z", "w"}
+
+// ValidateProgram rejects a program that no generator could have
+// produced: no threads, an operation kind or annotation outside its
+// enum, or a location outside 0..MaxLocs-1. Programs read from disk
+// (comparator witnesses, difftest repro bundles) pass through it
+// before anything formats, synthesizes or runs them.
+func ValidateProgram(prog []Thread) error {
+	if len(prog) == 0 {
+		return fmt.Errorf("litmus: program has no threads")
+	}
+	for ti, th := range prog {
+		for oi, op := range th {
+			switch {
+			case op.Kind < OpLoad || op.Kind > OpFence:
+				return fmt.Errorf("litmus: thread %d op %d: kind %d outside %d..%d", ti, oi, op.Kind, OpLoad, OpFence)
+			case op.Ann < AnnPlain || op.Ann > AnnSync:
+				return fmt.Errorf("litmus: thread %d op %d: annotation %d outside %d..%d", ti, oi, op.Ann, AnnPlain, AnnSync)
+			case op.Loc < 0 || op.Loc >= MaxLocs:
+				return fmt.Errorf("litmus: thread %d op %d: location %d outside 0..%d", ti, oi, op.Loc, MaxLocs-1)
+			}
+		}
+	}
+	return nil
+}
+
+// SynthTest wraps an arbitrary declarative program as a runnable
+// test: locations get the standard x/y/z/w names. It also returns the
+// program's operation count. The comparator and the differential
+// tester both build their programs through this one path, so they
+// cannot disagree about what a program means.
+func SynthTest(prog []Thread) (*Test, int) {
+	nlocs, ops := 0, 0
+	for _, th := range prog {
+		ops += len(th)
+		for _, op := range th {
+			if op.Kind != OpFence && op.Loc >= nlocs {
+				nlocs = op.Loc + 1
+			}
+		}
+	}
+	return &Test{
+		Name:     "synth",
+		NLocs:    nlocs,
+		LocNames: progLocNames[:nlocs],
+		Threads:  prog,
+	}, ops
+}
+
+// FormatProgram renders a program in litmus notation, e.g.
+// "P0: st x=1; ld y || P1: st y=1; ld x".
+func FormatProgram(prog []Thread) string {
+	var threads []string
+	for _, th := range prog {
+		var ops []string
+		for _, op := range th {
+			switch {
+			case op.Kind == OpFence:
+				ops = append(ops, "fence")
+			case op.Kind == OpLoad && op.Ann == AnnAcquire:
+				ops = append(ops, "ldAcq "+progLocNames[op.Loc])
+			case op.Kind == OpLoad:
+				ops = append(ops, "ld "+progLocNames[op.Loc])
+			case op.Ann == AnnRelease:
+				ops = append(ops, fmt.Sprintf("stRel %s=%d", progLocNames[op.Loc], op.Val))
+			default:
+				ops = append(ops, fmt.Sprintf("st %s=%d", progLocNames[op.Loc], op.Val))
+			}
+		}
+		threads = append(threads, strings.Join(ops, "; "))
+	}
+	var b strings.Builder
+	for i, t := range threads {
+		if i > 0 {
+			b.WriteString(" || ")
+		}
+		fmt.Fprintf(&b, "P%d: %s", i, t)
+	}
+	return b.String()
+}
+
 // Shorthand constructors keep the library readable.
 func ld(loc int) Op           { return Op{Kind: OpLoad, Loc: loc} }
 func ldAcq(loc int) Op        { return Op{Kind: OpLoad, Loc: loc, Ann: AnnAcquire} }
@@ -74,16 +157,6 @@ func fence() Op { return Op{Kind: OpFence, Ann: AnnSync} }
 type Outcome struct {
 	Loads []uint64
 	Mem   []uint64
-}
-
-// Relaxed is one whitelisted non-SC outcome of a test.
-type Relaxed struct {
-	Outcome Outcome
-	// Needs reports whether a given relaxed hardware spec can exhibit
-	// the outcome; nil means every non-SC spec can.
-	Needs func(consistency.Spec) bool
-	// Why documents the reordering that produces the outcome.
-	Why string
 }
 
 // LoadRef names an observed load: which processor's register holds
@@ -104,7 +177,6 @@ type Test struct {
 	NLocs    int
 	LocNames []string
 	Threads  []Thread
-	Relaxed  []Relaxed
 
 	// Stride overrides the layout's location stride (0 = default 72,
 	// distinct cache lines). The difftest generator sets 8 on its
@@ -149,6 +221,23 @@ func (t *Test) loadRefs() []LoadRef {
 	return refs
 }
 
+// loadSlots numbers a declarative test's observed loads in the
+// canonical order of loadRefs: slots[thread][op] is the load's index
+// in Outcome.Loads. It also returns the load count.
+func (t *Test) loadSlots() (slots [][]int, n int) {
+	slots = make([][]int, len(t.Threads))
+	for ti, th := range t.Threads {
+		slots[ti] = make([]int, len(th))
+		for oi, op := range th {
+			if op.Kind == OpLoad {
+				slots[ti][oi] = n
+				n++
+			}
+		}
+	}
+	return slots, n
+}
+
 // Key renders an outcome as the canonical string used for allowed-set
 // membership and reporting, e.g. "P0:r4=0 P1:r4=1 | x=1 y=1".
 func (t *Test) Key(refs []LoadRef, o Outcome) string {
@@ -181,37 +270,6 @@ func FormatKey(refs []LoadRef, locNames []string, o Outcome) string {
 	return b.String()
 }
 
-// Allowed computes the allowed outcome-key set for one hardware spec:
-// the SC oracle set, plus — for relaxed hardware — each whitelisted
-// relaxed outcome the spec is capable of.
-func (t *Test) Allowed(spec consistency.Spec) map[string]bool {
-	refs, _ := t.Refs()
-	allowed := make(map[string]bool)
-	for _, o := range t.scOutcomes() {
-		allowed[t.Key(refs, o)] = true
-	}
-	if spec.SequentiallyConsistent() {
-		return allowed
-	}
-	for _, r := range t.Relaxed {
-		if r.Needs == nil || r.Needs(spec) {
-			allowed[t.Key(refs, r.Outcome)] = true
-		}
-	}
-	return allowed
-}
-
-// AllowedKeys returns the allowed set as a sorted list.
-func (t *Test) AllowedKeys(spec consistency.Spec) []string {
-	m := t.Allowed(spec)
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Refs returns the test's observed-load registry without generating
 // full programs (declarative tests derive it; custom tests build once
 // with zero stagger, which is cheap and deterministic).
@@ -221,43 +279,6 @@ func (t *Test) Refs() ([]LoadRef, error) {
 	}
 	_, refs, err := t.Build(DefaultLayout, make([]int, t.NThreads))
 	return refs, err
-}
-
-// The whitelist gates are expressed on the spec's relaxation axes
-// (consistency.Relaxation), so a new model's allowed sets follow from
-// its hardware dials with no per-test edits. E.g. load-load reordering
-// (needsRR) requires non-blocking loads, so bWO1/TSO/PSO never get
-// iriw's relaxed outcome while WO1/WO2/RC/PC do.
-func needsWR(s consistency.Spec) bool { return s.Relaxations().WR }
-func needsRW(s consistency.Spec) bool { return s.Relaxations().RW }
-func needsRR(s consistency.Spec) bool { return s.Relaxations().RR }
-func needsWWorRR(s consistency.Spec) bool {
-	r := s.Relaxations()
-	return r.WW || r.RR
-}
-
-// mpCrowdRelaxed enumerates mp+crowd's whitelisted outcomes: the main
-// reader (thread 1) reads data=0, then flag=1, then data=0 again —
-// forbidden under SC, since seeing the flag implies the program-
-// earlier data store performed. The crowd threads' single loads are
-// unconstrained, so every combination of their values is listed.
-// Thread 1 first reading data=1 with the final read 0 would be a
-// same-location coherence violation and is deliberately NOT listed.
-func mpCrowdRelaxed() []Relaxed {
-	const crowd = 4
-	out := make([]Relaxed, 0, 1<<crowd)
-	for bits := 0; bits < 1<<crowd; bits++ {
-		loads := []uint64{0, 1, 0}
-		for i := 0; i < crowd; i++ {
-			loads = append(loads, uint64(bits>>i)&1)
-		}
-		out = append(out, Relaxed{
-			Outcome: Outcome{Loads: loads, Mem: []uint64{1, 1}},
-			Needs:   needsWWorRR,
-			Why:     "the flag store performs before the contended data store, and the reader's cached data copy outlives its flag observation (store-store reordering), or the final data load binds before the flag load",
-		})
-	}
-	return out
 }
 
 // Library returns the litmus-test library, in presentation order.
@@ -273,11 +294,6 @@ func Library() []*Test {
 				{st(0, 1), ld(1)},
 				{st(1, 1), ld(0)},
 			},
-			Relaxed: []Relaxed{{
-				Outcome: Outcome{Loads: []uint64{0, 0}, Mem: []uint64{1, 1}},
-				Needs:   needsWR,
-				Why:     "each load binds before the other thread's store performs (store-load reordering)",
-			}},
 		},
 		{
 			Name:     "sb+fence",
@@ -298,11 +314,6 @@ func Library() []*Test {
 				{st(0, 1), st(1, 1)},
 				{ld(1), ld(0)},
 			},
-			Relaxed: []Relaxed{{
-				Outcome: Outcome{Loads: []uint64{1, 0}, Mem: []uint64{1, 1}},
-				Needs:   needsWWorRR,
-				Why:     "the flag store performs before the data store, or the data load binds before the flag load",
-			}},
 		},
 		{
 			Name:     "mp+crowd",
@@ -317,7 +328,6 @@ func Library() []*Test {
 				{ld(0)},
 				{ld(0)},
 			},
-			Relaxed: mpCrowdRelaxed(),
 		},
 		{
 			Name:     "mp+ra",
@@ -338,11 +348,6 @@ func Library() []*Test {
 				{ld(1), st(0, 1)},
 				{ld(0), st(1, 1)},
 			},
-			Relaxed: []Relaxed{{
-				Outcome: Outcome{Loads: []uint64{1, 1}, Mem: []uint64{1, 1}},
-				Needs:   needsRW,
-				Why:     "a pending non-blocking load binds after the program-later store performed",
-			}},
 		},
 		{
 			Name:     "lb+ra",
@@ -365,11 +370,6 @@ func Library() []*Test {
 				{ld(0), ld(1)},
 				{ld(1), ld(0)},
 			},
-			Relaxed: []Relaxed{{
-				Outcome: Outcome{Loads: []uint64{1, 0, 1, 0}, Mem: []uint64{1, 1}},
-				Needs:   needsRR,
-				Why:     "each reader's second load bound before its first (both loads pending at once)",
-			}},
 		},
 		{
 			Name:     "iriw+sync",

@@ -1,5 +1,7 @@
 package litmus
 
+import "encoding/binary"
+
 // The sequential-consistency oracle. A litmus test's abstract ops are
 // small enough (a handful per thread, at most four threads) that the
 // set of SC-reachable outcomes can be computed exactly by enumerating
@@ -9,36 +11,55 @@ package litmus
 // invisible to the oracle — under SC every access is already strongly
 // ordered.
 
+// OracleKeys returns the SC oracle's outcome set as sorted keys: the
+// independent check on the engine's SC instance.
+func (t *Test) OracleKeys() ([]string, error) {
+	refs, err := t.Refs()
+	if err != nil {
+		return nil, err
+	}
+	return t.sortedKeys(refs, t.scOutcomes()), nil
+}
+
 // scOutcomes enumerates the SC outcome set. Custom tests supply it
 // explicitly (SCSet); declarative tests are enumerated by depth-first
-// search over which thread performs its next operation.
+// search over which thread performs its next operation. The outcomes
+// reachable from a search state depend only on the state itself (each
+// thread's next operation, memory, and the loads observed so far), so
+// a state the search has already expanded is skipped; every leaf is
+// then reached once, and every outcome is distinct.
 func (t *Test) scOutcomes() []Outcome {
 	if t.Threads == nil {
 		return t.SCSet
 	}
 
-	// loadIdx[thread][opIndex] is the canonical observed-load slot.
-	loadIdx := make([][]int, len(t.Threads))
-	nLoads := 0
-	for ti, th := range t.Threads {
-		loadIdx[ti] = make([]int, len(th))
-		for oi, op := range th {
-			if op.Kind == OpLoad {
-				loadIdx[ti][oi] = nLoads
-				nLoads++
-			}
-		}
-	}
-
+	loadIdx, nLoads := t.loadSlots()
 	pcs := make([]int, len(t.Threads))
 	mem := make([]uint64, t.NLocs)
 	obs := make([]uint64, nLoads)
-	seen := make(map[string]bool)
+	visited := make(map[string]bool)
+	var state []byte
 	var outcomes []Outcome
-	refs := t.loadRefs()
 
 	var rec func()
 	rec = func() {
+		// Uvarints are prefix-free, so the fixed-length concatenation
+		// identifies the state exactly.
+		state = state[:0]
+		for _, pc := range pcs {
+			state = binary.AppendUvarint(state, uint64(pc))
+		}
+		for _, v := range mem {
+			state = binary.AppendUvarint(state, v)
+		}
+		for _, v := range obs {
+			state = binary.AppendUvarint(state, v)
+		}
+		if visited[string(state)] {
+			return
+		}
+		visited[string(state)] = true
+
 		done := true
 		for ti, th := range t.Threads {
 			if pcs[ti] >= len(th) {
@@ -65,17 +86,11 @@ func (t *Test) scOutcomes() []Outcome {
 			}
 			pcs[ti]--
 		}
-		if !done {
-			return
-		}
-		o := Outcome{
-			Loads: append([]uint64(nil), obs...),
-			Mem:   append([]uint64(nil), mem...),
-		}
-		key := t.Key(refs, o)
-		if !seen[key] {
-			seen[key] = true
-			outcomes = append(outcomes, o)
+		if done {
+			outcomes = append(outcomes, Outcome{
+				Loads: append([]uint64(nil), obs...),
+				Mem:   append([]uint64(nil), mem...),
+			})
 		}
 	}
 	rec()

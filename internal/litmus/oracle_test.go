@@ -1,7 +1,6 @@
 package litmus
 
 import (
-	"sort"
 	"testing"
 
 	"memsim/internal/consistency"
@@ -10,15 +9,10 @@ import (
 // keysOf enumerates a test's SC oracle set as sorted outcome keys.
 func keysOf(t *testing.T, lt *Test) []string {
 	t.Helper()
-	refs, err := lt.Refs()
+	keys, err := lt.OracleKeys()
 	if err != nil {
-		t.Fatalf("%s: Refs: %v", lt.Name, err)
+		t.Fatalf("%s: OracleKeys: %v", lt.Name, err)
 	}
-	var keys []string
-	for _, o := range lt.scOutcomes() {
-		keys = append(keys, lt.Key(refs, o))
-	}
-	sort.Strings(keys)
 	return keys
 }
 
@@ -129,15 +123,15 @@ func TestAllowedGating(t *testing.T) {
 	}
 	reordered := "P0:r4=1 P1:r4=1 | x=1 y=1"
 	// Relaxed non-blocking hardware may see load buffering…
-	if !lb.Allowed(consistency.SpecFor(consistency.WO1))[reordered] {
+	if !allows(t, lb, consistency.WO1, reordered) {
 		t.Errorf("LB outcome %q should be allowed under WO1", reordered)
 	}
 	// …but blocking-load relaxed hardware may not…
-	if lb.Allowed(consistency.SpecFor(consistency.BWO1))[reordered] {
+	if allows(t, lb, consistency.BWO1, reordered) {
 		t.Errorf("LB outcome %q must not be allowed under bWO1 (blocking loads)", reordered)
 	}
 	// …and SC hardware never.
-	if lb.Allowed(consistency.SpecFor(consistency.SC1))[reordered] {
+	if allows(t, lb, consistency.SC1, reordered) {
 		t.Errorf("LB outcome %q must not be allowed under SC1", reordered)
 	}
 
@@ -147,9 +141,8 @@ func TestAllowedGating(t *testing.T) {
 	}
 	sbRelaxed := "P0:r4=0 P1:r4=0 | x=1 y=1"
 	for _, m := range consistency.Models {
-		spec := consistency.SpecFor(m)
-		got := sb.Allowed(spec)[sbRelaxed]
-		want := !spec.SequentiallyConsistent()
+		got := allows(t, sb, m, sbRelaxed)
+		want := !consistency.SpecFor(m).SequentiallyConsistent()
 		if got != want {
 			t.Errorf("SB outcome %q under %s: allowed=%t, want %t", sbRelaxed, m, got, want)
 		}

@@ -329,14 +329,20 @@ func Run(t *Test, model consistency.Model, cfg Config) (*Report, error) {
 	if cfg.Runs <= 0 {
 		cfg.Runs = 100
 	}
-	spec := consistency.SpecFor(model)
-	allowed := t.Allowed(spec)
+	keys, err := t.Allowed(consistency.SpecFor(model))
+	if err != nil {
+		return nil, err
+	}
+	allowed := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		allowed[k] = true
+	}
 
 	rep := &Report{
 		Test:      t.Name,
 		Model:     model.String(),
 		Runs:      cfg.Runs,
-		Allowed:   t.AllowedKeys(spec),
+		Allowed:   keys,
 		Witnessed: make(map[string]int),
 	}
 	if cfg.Mutate != consistency.MutNone {
